@@ -1,9 +1,13 @@
 // Performance microbenchmarks (google-benchmark): throughput of the hot
-// kernels — FFT, Viterbi, frame build/decode, and one full end-to-end frame
-// exchange. Not a paper figure; used to keep the simulator fast enough for
-// the R3-R8 sweeps.
+// kernels — Gaussian noise, FFT, Viterbi, frame build/decode, the transmit
+// and receive front-end stages of one link frame, and one full end-to-end
+// frame exchange. Not a paper figure; used to keep the simulator fast enough
+// for the R3-R8 sweeps.
 #include <benchmark/benchmark.h>
 
+#include "mmtag/ap/receiver.hpp"
+#include "mmtag/ap/transmitter.hpp"
+#include "mmtag/channel/backscatter_channel.hpp"
 #include "mmtag/core/link_simulator.hpp"
 #include "mmtag/dsp/fft.hpp"
 #include "mmtag/fec/convolutional.hpp"
@@ -12,12 +16,22 @@
 #include "mmtag/obs/trace.hpp"
 #include "mmtag/phy/bitio.hpp"
 #include "mmtag/phy/frame.hpp"
+#include "mmtag/runtime/gaussian_source.hpp"
+#include "mmtag/tag/modulator.hpp"
 
 #include "bench_util.hpp"
 
 using namespace mmtag;
 
 namespace {
+
+void bm_gaussian(benchmark::State& state)
+{
+    runtime::gaussian_source source(1);
+    for (auto _ : state) benchmark::DoNotOptimize(source.normal());
+    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(bm_gaussian);
 
 void bm_fft(benchmark::State& state)
 {
@@ -81,6 +95,55 @@ void bm_full_link_frame(benchmark::State& state)
     }
 }
 BENCHMARK(bm_full_link_frame)->Unit(benchmark::kMillisecond);
+
+/// The samples of one bench-scenario frame exchange, so the transmit and
+/// receive stages can be timed alone: the AP's carrier and LO over the tag's
+/// frame, and the antenna-plane signal the channel returns.
+struct link_capture {
+    core::system_config cfg = bench::bench_scenario();
+    cvec lo;
+    cvec antenna;
+};
+
+link_capture make_capture()
+{
+    link_capture capture;
+    const auto& cfg = capture.cfg;
+    const tag::backscatter_modulator modulator(cfg.modulator);
+    const auto frame = modulator.modulate(phy::random_bytes(32, 11));
+    ap::ap_transmitter transmitter(cfg.transmitter, 1);
+    auto query = transmitter.generate(frame.gamma.size());
+    const channel::backscatter_channel channel(core::make_channel_config(cfg));
+    capture.antenna = channel.ap_received(query.rf, frame.gamma);
+    capture.lo = std::move(query.lo);
+    return capture;
+}
+
+void bm_tx_generate(benchmark::State& state)
+{
+    const link_capture capture = make_capture();
+    ap::ap_transmitter transmitter(capture.cfg.transmitter, 1);
+    for (auto _ : state) {
+        auto query = transmitter.generate(capture.lo.size());
+        benchmark::DoNotOptimize(query.rf.data());
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                            static_cast<std::int64_t>(capture.lo.size()));
+}
+BENCHMARK(bm_tx_generate)->Unit(benchmark::kMicrosecond);
+
+void bm_rx_front_end(benchmark::State& state)
+{
+    const link_capture capture = make_capture();
+    ap::ap_receiver receiver(capture.cfg.receiver, 2);
+    for (auto _ : state) {
+        auto cleaned = receiver.front_end(capture.antenna, capture.lo);
+        benchmark::DoNotOptimize(cleaned.data());
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                            static_cast<std::int64_t>(capture.lo.size()));
+}
+BENCHMARK(bm_rx_front_end)->Unit(benchmark::kMicrosecond);
 
 // The observability overhead contract: with no registry attached and no
 // trace session, the per-frame cost is a couple of null/flag checks —

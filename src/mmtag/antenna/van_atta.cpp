@@ -1,7 +1,8 @@
 #include "mmtag/antenna/van_atta.hpp"
 
-#include <random>
 #include <stdexcept>
+
+#include "mmtag/runtime/gaussian_source.hpp"
 
 namespace mmtag::antenna {
 
@@ -15,15 +16,19 @@ van_atta_array::van_atta_array(const config& cfg, std::shared_ptr<const element>
         throw std::invalid_argument("van_atta_array: spacing must be > 0");
     }
     if (cfg.line_loss_db < 0.0) throw std::invalid_argument("van_atta_array: negative line loss");
+    if (!(cfg.pair_phase_error_rms_rad >= 0.0)) {
+        throw std::invalid_argument("van_atta_array: pair phase error rms must be >= 0");
+    }
     if (!radiator_) throw std::invalid_argument("van_atta_array: null element");
     line_amplitude_ = std::pow(10.0, -cfg.line_loss_db / 20.0);
     pair_phase_errors_.assign(cfg.element_count / 2, 0.0);
     if (cfg.pair_phase_error_rms_rad > 0.0) {
         // Deterministic seed: fabrication error is a fixed property of one
         // physical array, not a per-call random draw.
-        std::mt19937_64 rng(0xA77A5EED);
-        std::normal_distribution<double> gaussian(0.0, cfg.pair_phase_error_rms_rad);
-        for (auto& error : pair_phase_errors_) error = gaussian(rng);
+        runtime::gaussian_source gaussian(0xA77A5EED);
+        for (auto& error : pair_phase_errors_) {
+            error = cfg.pair_phase_error_rms_rad * gaussian.normal();
+        }
     }
 }
 

@@ -37,9 +37,8 @@ ap_transmitter::query ap_transmitter::generate(std::size_t count)
     query out;
     out.lo = lo_.generate(count);
     out.rf.reserve(count);
-    for (cf64 lo_sample : out.lo) {
-        out.rf.push_back(pa_.process(drive_amplitude_ * lo_sample));
-    }
+    for (cf64 lo_sample : out.lo) out.rf.push_back(drive_amplitude_ * lo_sample);
+    pa_.process_in_place(out.rf);
     return out;
 }
 
@@ -50,8 +49,9 @@ ap_transmitter::query ap_transmitter::generate_modulated(std::span<const double>
     out.rf.reserve(envelope.size());
     for (std::size_t i = 0; i < envelope.size(); ++i) {
         const double level = std::clamp(envelope[i], 0.0, 1.0);
-        out.rf.push_back(pa_.process(drive_amplitude_ * level * out.lo[i]));
+        out.rf.push_back(drive_amplitude_ * level * out.lo[i]);
     }
+    pa_.process_in_place(out.rf);
     return out;
 }
 

@@ -66,8 +66,8 @@ void backscatter_channel::redraw_fading(std::uint64_t seed)
         fading_ = cf64{1.0, 0.0}; // effectively pure LOS
         return;
     }
-    std::mt19937_64 rng(seed);
-    fading_ = rician_coefficient(cfg_.rician_k_db, rng);
+    runtime::gaussian_source gaussian(seed);
+    fading_ = rician_coefficient(cfg_.rician_k_db, gaussian);
 }
 
 cvec backscatter_channel::incident_at_tag(std::span<const cf64> tx) const

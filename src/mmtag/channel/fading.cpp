@@ -5,13 +5,13 @@
 
 namespace mmtag::channel {
 
-cf64 rician_coefficient(double k_factor_db, std::mt19937_64& rng)
+cf64 rician_coefficient(double k_factor_db, runtime::gaussian_source& gaussian)
 {
     const double k = from_db(k_factor_db);
     const double los_amplitude = std::sqrt(k / (k + 1.0));
     const double scatter_sigma = std::sqrt(1.0 / (2.0 * (k + 1.0)));
-    std::normal_distribution<double> gaussian(0.0, scatter_sigma);
-    return cf64{los_amplitude + gaussian(rng), gaussian(rng)};
+    const double in_phase = los_amplitude + scatter_sigma * gaussian.normal();
+    return cf64{in_phase, scatter_sigma * gaussian.normal()};
 }
 
 multipath_channel::multipath_channel(const config& cfg, std::uint64_t seed) : cfg_(cfg)
@@ -25,15 +25,15 @@ multipath_channel::multipath_channel(const config& cfg, std::uint64_t seed) : cf
     }
     if (total_power <= 0.0) throw std::invalid_argument("multipath_channel: zero total power");
 
-    std::mt19937_64 rng(seed);
+    runtime::gaussian_source gaussian(seed);
     coefficients_.reserve(cfg.taps.size());
     for (std::size_t i = 0; i < cfg.taps.size(); ++i) {
         const double amplitude = std::sqrt(cfg.taps[i].power / total_power);
         if (i == 0) {
-            coefficients_.push_back(amplitude * rician_coefficient(cfg.k_factor_db, rng));
+            coefficients_.push_back(amplitude * rician_coefficient(cfg.k_factor_db, gaussian));
         } else {
             // Echoes are diffuse: Rayleigh (K -> -inf ~= -100 dB).
-            coefficients_.push_back(amplitude * rician_coefficient(-100.0, rng));
+            coefficients_.push_back(amplitude * rician_coefficient(-100.0, gaussian));
         }
     }
 }

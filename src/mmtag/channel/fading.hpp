@@ -3,17 +3,18 @@
 #pragma once
 
 #include <cstddef>
-#include <random>
 #include <span>
 
 #include "mmtag/common.hpp"
+#include "mmtag/runtime/gaussian_source.hpp"
 
 namespace mmtag::channel {
 
 /// Draws one Rician block-fading field coefficient with mean power 1.
 /// `k_factor_db` is the LOS-to-scatter power ratio; k -> -inf gives Rayleigh,
 /// k -> +inf gives a pure LOS (unit) coefficient.
-[[nodiscard]] cf64 rician_coefficient(double k_factor_db, std::mt19937_64& rng);
+[[nodiscard]] cf64 rician_coefficient(double k_factor_db,
+                                      runtime::gaussian_source& gaussian);
 
 /// Multipath tap description: delay in samples, mean power (linear), and a
 /// Doppler frequency that rotates the tap phase over time.

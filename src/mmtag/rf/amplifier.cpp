@@ -9,7 +9,7 @@ namespace mmtag::rf {
 // Signals are complex baseband voltages across a 1-ohm reference, so
 // instantaneous power is |x|^2 watts.
 
-lna::lna(const config& cfg, std::uint64_t seed) : cfg_(cfg), rng_(seed)
+lna::lna(const config& cfg, std::uint64_t seed) : cfg_(cfg), gaussian_(seed)
 {
     if (cfg.bandwidth_hz <= 0.0) throw std::invalid_argument("lna: bandwidth <= 0");
     if (cfg.noise_figure_db < 0.0) throw std::invalid_argument("lna: noise figure < 0");
@@ -26,7 +26,7 @@ double lna::input_referred_noise_power() const
 
 cf64 lna::process(cf64 input)
 {
-    const cf64 noise{noise_sigma_ * gaussian_(rng_), noise_sigma_ * gaussian_(rng_)};
+    const cf64 noise{noise_sigma_ * gaussian_.normal(), noise_sigma_ * gaussian_.normal()};
     return voltage_gain_ * (input + noise);
 }
 
@@ -45,23 +45,45 @@ power_amplifier::power_amplifier(const config& cfg) : cfg_(cfg)
     saturation_amplitude_ = std::sqrt(dbm_to_watt(cfg.output_saturation_dbm));
 }
 
-cf64 power_amplifier::process(cf64 input) const
+double power_amplifier::scale(double amplitude) const
 {
-    const double amplitude = std::abs(input);
-    if (amplitude < 1e-30) return cf64{};
     const double driven = voltage_gain_ * amplitude;
     const double ratio = driven / saturation_amplitude_;
     const double p2 = 2.0 * cfg_.smoothness;
     const double compressed = driven / std::pow(1.0 + std::pow(ratio, p2), 1.0 / p2);
-    return input * (compressed / amplitude);
+    return compressed / amplitude;
+}
+
+cf64 power_amplifier::process(cf64 input) const
+{
+    const double amplitude = std::abs(input);
+    if (amplitude < 1e-30) return cf64{};
+    return input * scale(amplitude);
 }
 
 cvec power_amplifier::process(std::span<const cf64> input) const
 {
-    cvec out;
-    out.reserve(input.size());
-    for (cf64 x : input) out.push_back(process(x));
+    cvec out(input.begin(), input.end());
+    process_in_place(out);
     return out;
+}
+
+void power_amplifier::process_in_place(std::span<cf64> buffer) const
+{
+    double last_amplitude = -1.0;
+    double last_scale = 0.0;
+    for (cf64& x : buffer) {
+        const double amplitude = std::abs(x);
+        if (amplitude < 1e-30) {
+            x = cf64{};
+            continue;
+        }
+        if (amplitude != last_amplitude) {
+            last_amplitude = amplitude;
+            last_scale = scale(amplitude);
+        }
+        x *= last_scale;
+    }
 }
 
 double power_amplifier::output_power_dbm(double input_dbm) const

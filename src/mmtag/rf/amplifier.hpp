@@ -2,10 +2,10 @@
 // and Rapp soft-saturation nonlinearity (PA).
 #pragma once
 
-#include <random>
 #include <span>
 
 #include "mmtag/common.hpp"
+#include "mmtag/runtime/gaussian_source.hpp"
 
 namespace mmtag::rf {
 
@@ -35,8 +35,7 @@ private:
     config cfg_;
     double voltage_gain_;
     double noise_sigma_;
-    std::mt19937_64 rng_;
-    std::normal_distribution<double> gaussian_{0.0, 1.0};
+    runtime::gaussian_source gaussian_;
 };
 
 /// Power amplifier with the Rapp AM/AM model:
@@ -55,6 +54,11 @@ public:
     [[nodiscard]] cf64 process(cf64 input) const;
     [[nodiscard]] cvec process(std::span<const cf64> input) const;
 
+    /// process() over a buffer in place, bit-identical to it per sample. The
+    /// Rapp scale is recomputed only when the exact input amplitude changes,
+    /// which for a constant-envelope drive is rare.
+    void process_in_place(std::span<cf64> buffer) const;
+
     /// Output power [dBm] for a CW input of `input_dbm` — for compression
     /// curve characterization.
     [[nodiscard]] double output_power_dbm(double input_dbm) const;
@@ -63,6 +67,9 @@ public:
     [[nodiscard]] double input_p1db_dbm() const;
 
 private:
+    /// Output/input amplitude ratio for an input amplitude >= 1e-30.
+    [[nodiscard]] double scale(double amplitude) const;
+
     config cfg_;
     double voltage_gain_;
     double saturation_amplitude_; // volts across 1 ohm reference

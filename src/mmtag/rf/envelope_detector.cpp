@@ -5,7 +5,7 @@
 namespace mmtag::rf {
 
 envelope_detector::envelope_detector(const config& cfg, std::uint64_t seed)
-    : cfg_(cfg), rng_(seed)
+    : cfg_(cfg), gaussian_(seed)
 {
     if (cfg.sample_rate_hz <= 0.0) throw std::invalid_argument("envelope_detector: fs <= 0");
     if (cfg.video_bandwidth_hz <= 0.0 || cfg.video_bandwidth_hz > cfg.sample_rate_hz / 2.0) {
@@ -27,7 +27,7 @@ rvec envelope_detector::detect(std::span<const cf64> rf)
     for (cf64 x : rf) {
         const double power = std::norm(x); // square-law detection
         double voltage = cfg_.responsivity_v_per_w * power;
-        voltage += noise_sigma_volts * gaussian_(rng_);
+        voltage += noise_sigma_volts * gaussian_.normal();
         state_ += filter_alpha_ * (voltage - state_);
         out.push_back(state_);
     }

@@ -3,10 +3,10 @@
 // the tag uses it to detect the AP's query carrier and wake up.
 #pragma once
 
-#include <random>
 #include <span>
 
 #include "mmtag/common.hpp"
+#include "mmtag/runtime/gaussian_source.hpp"
 
 namespace mmtag::rf {
 
@@ -33,8 +33,7 @@ private:
     config cfg_;
     double filter_alpha_;
     double state_ = 0.0;
-    std::mt19937_64 rng_;
-    std::normal_distribution<double> gaussian_{0.0, 1.0};
+    runtime::gaussian_source gaussian_;
 };
 
 } // namespace mmtag::rf

@@ -11,17 +11,18 @@ quadrature_mixer::quadrature_mixer(const config& cfg) : cfg_(cfg)
     }
     loss_gain_ = std::pow(10.0, -cfg.conversion_loss_db / 20.0);
     leakage_amplitude_ = std::pow(10.0, cfg.lo_leakage_dbc / 20.0);
-    gain_alpha_ = std::pow(10.0, cfg.iq_gain_imbalance_db / 20.0);
-    phase_beta_ = deg_to_rad(cfg.iq_phase_imbalance_deg);
+    const double gain_alpha = std::pow(10.0, cfg.iq_gain_imbalance_db / 20.0);
+    const double phase_beta = deg_to_rad(cfg.iq_phase_imbalance_deg);
+    balanced_ = gain_alpha == 1.0 && phase_beta == 0.0;
+    // Standard imbalance model: y = mu x + nu conj(x).
+    mu_ = 0.5 * (1.0 + gain_alpha * std::polar(1.0, phase_beta));
+    nu_ = 0.5 * (1.0 - gain_alpha * std::polar(1.0, phase_beta));
 }
 
 cf64 quadrature_mixer::apply_iq_imbalance(cf64 x) const
 {
-    if (gain_alpha_ == 1.0 && phase_beta_ == 0.0) return x;
-    // Standard imbalance model: y = mu x + nu conj(x).
-    const cf64 mu = 0.5 * (1.0 + gain_alpha_ * std::polar(1.0, phase_beta_));
-    const cf64 nu = 0.5 * (1.0 - gain_alpha_ * std::polar(1.0, phase_beta_));
-    return mu * x + nu * std::conj(x);
+    if (balanced_) return x;
+    return mu_ * x + nu_ * std::conj(x);
 }
 
 cf64 quadrature_mixer::downconvert(cf64 rf, cf64 lo) const
@@ -62,10 +63,8 @@ cvec quadrature_mixer::upconvert(std::span<const cf64> baseband, std::span<const
 
 double quadrature_mixer::image_rejection_ratio_db() const
 {
-    const cf64 mu = 0.5 * (1.0 + gain_alpha_ * std::polar(1.0, phase_beta_));
-    const cf64 nu = 0.5 * (1.0 - gain_alpha_ * std::polar(1.0, phase_beta_));
-    if (std::abs(nu) < 1e-15) return 1e9;
-    return to_db(std::norm(mu) / std::norm(nu));
+    if (std::abs(nu_) < 1e-15) return 1e9;
+    return to_db(std::norm(mu_) / std::norm(nu_));
 }
 
 } // namespace mmtag::rf

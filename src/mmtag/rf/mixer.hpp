@@ -39,8 +39,9 @@ private:
     config cfg_;
     double loss_gain_;
     double leakage_amplitude_;
-    double gain_alpha_; // I/Q imbalance parameters
-    double phase_beta_;
+    bool balanced_; // no I/Q imbalance: mu = 1, nu = 0
+    cf64 mu_;       // I/Q imbalance: y = mu x + nu conj(x)
+    cf64 nu_;
 };
 
 } // namespace mmtag::rf

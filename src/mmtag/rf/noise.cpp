@@ -31,7 +31,8 @@ double cascade_noise_figure_db(std::span<const double> stage_nf_db,
     return to_db(total_factor);
 }
 
-awgn_source::awgn_source(double power_watt, std::uint64_t seed) : power_(power_watt), rng_(seed)
+awgn_source::awgn_source(double power_watt, std::uint64_t seed)
+    : power_(power_watt), gaussian_(seed)
 {
     if (power_watt < 0.0) throw std::invalid_argument("awgn_source: power must be >= 0");
 }
@@ -45,12 +46,13 @@ void awgn_source::set_power(double power_watt)
 cf64 awgn_source::sample()
 {
     const double sigma = std::sqrt(power_ / 2.0);
-    return {sigma * gaussian_(rng_), sigma * gaussian_(rng_)};
+    return {sigma * gaussian_.normal(), sigma * gaussian_.normal()};
 }
 
 void awgn_source::add_to(std::span<cf64> buffer)
 {
-    for (auto& x : buffer) x += sample();
+    const double sigma = std::sqrt(power_ / 2.0);
+    for (auto& x : buffer) x += cf64{sigma * gaussian_.normal(), sigma * gaussian_.normal()};
 }
 
 cvec awgn_source::apply(std::span<const cf64> input)

@@ -1,10 +1,10 @@
 // Thermal noise generation and noise-figure arithmetic.
 #pragma once
 
-#include <random>
 #include <span>
 
 #include "mmtag/common.hpp"
+#include "mmtag/runtime/gaussian_source.hpp"
 
 namespace mmtag::rf {
 
@@ -38,8 +38,7 @@ public:
 
 private:
     double power_;
-    std::mt19937_64 rng_;
-    std::normal_distribution<double> gaussian_{0.0, 1.0};
+    runtime::gaussian_source gaussian_;
 };
 
 } // namespace mmtag::rf

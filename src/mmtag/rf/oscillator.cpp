@@ -5,7 +5,7 @@
 namespace mmtag::rf {
 
 oscillator::oscillator(const config& cfg, std::uint64_t seed)
-    : cfg_(cfg), phase_(wrap_phase(cfg.initial_phase_rad)), rng_(seed)
+    : cfg_(cfg), phase_(wrap_phase(cfg.initial_phase_rad)), gaussian_(seed)
 {
     if (cfg.sample_rate_hz <= 0.0) throw std::invalid_argument("oscillator: sample rate <= 0");
     if (cfg.linewidth_hz < 0.0) throw std::invalid_argument("oscillator: linewidth < 0");
@@ -18,7 +18,7 @@ cf64 oscillator::step()
 {
     const cf64 sample = std::polar(1.0, phase_);
     double delta = increment_;
-    if (phase_noise_sigma_ > 0.0) delta += phase_noise_sigma_ * gaussian_(rng_);
+    if (phase_noise_sigma_ > 0.0) delta += phase_noise_sigma_ * gaussian_.normal();
     phase_ = wrap_phase(phase_ + delta);
     return sample;
 }

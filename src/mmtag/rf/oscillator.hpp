@@ -4,10 +4,10 @@
 // shared and an independent mode so that cancellation can be demonstrated.
 #pragma once
 
-#include <random>
 #include <span>
 
 #include "mmtag/common.hpp"
+#include "mmtag/runtime/gaussian_source.hpp"
 
 namespace mmtag::rf {
 
@@ -39,8 +39,7 @@ private:
     double phase_;
     double increment_;
     double phase_noise_sigma_;
-    std::mt19937_64 rng_;
-    std::normal_distribution<double> gaussian_{0.0, 1.0};
+    runtime::gaussian_source gaussian_;
 };
 
 } // namespace mmtag::rf

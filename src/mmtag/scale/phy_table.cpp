@@ -223,6 +223,7 @@ runtime::json_value phy_table::to_json() const
 {
     using runtime::json_value;
     auto doc = runtime::schema_object(schema_name);
+    doc.set("phy_model_revision", json_value::unsigned_integer(phy_model_revision));
     doc.set("fingerprint", json_value::string(fingerprint_));
     doc.set("params", params_json(cfg_));
     auto curves = json_value::array();
@@ -254,6 +255,14 @@ phy_table phy_table::from_json(const runtime::json_value& doc,
     const json_value* schema = doc.find("schema");
     if (schema == nullptr || !schema->is_string() || schema->as_string() != schema_name) {
         reject(std::string("unsupported schema (want ") + schema_name + ")");
+    }
+    const json_value* revision = doc.find("phy_model_revision");
+    if (revision == nullptr || !revision->is_number() ||
+        revision->as_number() != static_cast<double>(phy_model_revision)) {
+        reject("calibrated by " +
+               (revision == nullptr ? std::string("PHY model revision 1 (no revision field)")
+                                    : "PHY model revision " + revision->dump()) +
+               ", this build measures revision " + std::to_string(phy_model_revision));
     }
     // The persisted params are only a digest of the scenario, so the caller
     // must supply the config it expects; the document is validated against

@@ -14,7 +14,8 @@
 // Disk cache: bench/out/phy_table_<fingerprint>.json with schema
 // "mmtag.phy_table/1". The fingerprint hashes every parameter the curves
 // depend on (scenario RF fields, SINR grid, frames, payload, seed, and the
-// rate ladder itself); load_or_generate() loads on match and regenerates
+// rate ladder itself), and the document records the PHY-model revision that
+// measured it; load_or_generate() loads only when both match and regenerates
 // with a loud stderr line on miss or mismatch — a stale table silently
 // reused would corrupt every scale result downstream.
 #pragma once
@@ -28,6 +29,15 @@
 #include "mmtag/runtime/result_writer.hpp"
 
 namespace mmtag::scale {
+
+/// Revision of the sample-accurate PHY model the curves are measured from.
+/// Bump it whenever a change moves the simulator's statistics (noise source,
+/// receive chain, ...): from_json() rejects a table whose recorded revision
+/// differs, so tables calibrated by an older model are regenerated instead
+/// of loaded. Revision 2 draws Gaussian noise from runtime::gaussian_source;
+/// tables from revision 1 (standard-library normal draws) carry no revision
+/// field.
+inline constexpr std::uint64_t phy_model_revision = 2;
 
 struct phy_table_config {
     core::system_config scenario = core::fast_scenario();

@@ -1,19 +1,21 @@
 #include "mmtag/tag/termination_bank.hpp"
 
-#include <random>
 #include <stdexcept>
 
 #include "mmtag/antenna/termination.hpp"
 #include "mmtag/dsp/estimators.hpp"
+#include "mmtag/runtime/gaussian_source.hpp"
 
 namespace mmtag::tag {
 
 termination_bank::termination_bank(const config& cfg) : cfg_(cfg)
 {
     if (cfg.stub_loss_db < 0.0) throw std::invalid_argument("termination_bank: negative loss");
+    if (!(cfg.phase_error_rms_rad >= 0.0)) {
+        throw std::invalid_argument("termination_bank: phase error rms must be >= 0");
+    }
     const std::size_t m = phy::constellation_size(cfg.scheme);
-    std::mt19937_64 rng(cfg.phase_error_seed);
-    std::normal_distribution<double> gaussian(0.0, cfg.phase_error_rms_rad);
+    runtime::gaussian_source gaussian(cfg.phase_error_seed);
 
     gammas_.reserve(m + 1);
     for (std::size_t p = 0; p < m; ++p) {
@@ -24,7 +26,9 @@ termination_bank::termination_bank(const config& cfg) : cfg_(cfg)
         const double beta_length = wrap_phase(pi - target_phase) / 2.0;
         cf64 gamma = antenna::line_transform_lossy(antenna::gamma_short(), beta_length,
                                                    cfg.stub_loss_db);
-        if (cfg.phase_error_rms_rad > 0.0) gamma *= std::polar(1.0, gaussian(rng));
+        if (cfg.phase_error_rms_rad > 0.0) {
+            gamma *= std::polar(1.0, cfg.phase_error_rms_rad * gaussian.normal());
+        }
         gammas_.push_back(gamma);
     }
     gammas_.push_back(antenna::gamma_matched()); // absorptive state

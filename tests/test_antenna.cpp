@@ -220,5 +220,16 @@ TEST(van_atta, validation)
     EXPECT_THROW(van_atta_array(cfg, nullptr), std::invalid_argument);
 }
 
+TEST(van_atta, rejects_negative_pair_phase_error)
+{
+    van_atta_array::config cfg;
+    cfg.pair_phase_error_rms_rad = -0.1;
+    EXPECT_THROW(van_atta_array(cfg, std::make_shared<isotropic_element>()),
+                 std::invalid_argument);
+    cfg.pair_phase_error_rms_rad = std::nan("");
+    EXPECT_THROW(van_atta_array(cfg, std::make_shared<isotropic_element>()),
+                 std::invalid_argument);
+}
+
 } // namespace
 } // namespace mmtag::antenna

@@ -1,7 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <random>
-
 #include "mmtag/channel/atmosphere.hpp"
 #include "mmtag/channel/backscatter_channel.hpp"
 #include "mmtag/channel/fading.hpp"
@@ -79,7 +77,7 @@ TEST(atmosphere, negligible_indoors_at_24_ghz)
 
 TEST(fading, rician_high_k_is_nearly_los)
 {
-    std::mt19937_64 rng(3);
+    runtime::gaussian_source rng(3);
     dsp::running_stats magnitude;
     for (int i = 0; i < 2000; ++i) magnitude.add(std::abs(rician_coefficient(30.0, rng)));
     EXPECT_NEAR(magnitude.mean(), 1.0, 0.02);
@@ -88,7 +86,7 @@ TEST(fading, rician_high_k_is_nearly_los)
 
 TEST(fading, rician_mean_power_is_unity)
 {
-    std::mt19937_64 rng(4);
+    runtime::gaussian_source rng(4);
     double power = 0.0;
     constexpr int n = 20000;
     for (int i = 0; i < n; ++i) power += std::norm(rician_coefficient(3.0, rng));

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <random>
 
 #include "mmtag/phy/bitio.hpp"
@@ -105,11 +106,18 @@ TEST(frame, corrupted_header_crc_rejected)
     EXPECT_FALSE(header.has_value());
 }
 
+// gtest names each case after the raw bytes of its parameter, so the padding
+// between `fec` and `payload_bytes` is spelled out and zeroed: left implicit
+// it holds leftover stack bytes and the test names change from run to run.
 struct frame_case {
+    frame_case(modulation s, fec_mode f, std::size_t n) : scheme{s}, fec{f}, payload_bytes{n} {}
+
     modulation scheme;
     fec_mode fec;
+    std::uint8_t padding[3]{};
     std::size_t payload_bytes;
 };
+static_assert(sizeof(frame_case) == 16);
 
 class frame_round_trip : public ::testing::TestWithParam<frame_case> {};
 

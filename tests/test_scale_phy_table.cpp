@@ -193,6 +193,52 @@ TEST(ScalePhyTable, LoaderFailsLoudOnTamperedTables)
     }
 }
 
+TEST(ScalePhyTable, PreviousPhyModelRevisionIsRegeneratedNotLoaded)
+{
+    namespace fs = std::filesystem;
+    using runtime::json_value;
+    const fs::path dir = fs::temp_directory_path() / "mmtag_phy_revision_test";
+    fs::remove_all(dir);
+
+    auto cfg = test_config();
+    cfg.frames_per_point = 8;
+    const auto fresh = phy_table::load_or_generate(cfg, 1, dir.string());
+    ASSERT_FALSE(fresh.cache_hit);
+    const std::string current = fresh.table.to_json().dump();
+
+    // The revision member exactly as the compact dump spells it.
+    auto probe = json_value::object();
+    probe.set("phy_model_revision", json_value::unsigned_integer(scale::phy_model_revision));
+    const std::string member = probe.dump().substr(1, probe.dump().size() - 2);
+    const auto at = current.find(member + ",");
+    ASSERT_NE(at, std::string::npos);
+
+    // The same curves and fingerprint as an older PHY model persisted them:
+    // without the field (revision 1 predates it) and with the previous
+    // revision number.
+    std::string without_field = current;
+    without_field.erase(at, member.size() + 1);
+    std::string previous = current;
+    previous.replace(at, member.size(),
+                     "\"phy_model_revision\":" +
+                         std::to_string(scale::phy_model_revision - 1));
+    for (const std::string& stale : {without_field, previous}) {
+        const auto doc = runtime::parse_json(stale);
+        ASSERT_TRUE(doc.has_value());
+        EXPECT_THROW((void)phy_table::from_json(*doc, cfg), simulation_error);
+
+        ASSERT_TRUE(runtime::write_text_file(fresh.path, stale));
+        testing::internal::CaptureStderr();
+        const auto reloaded = phy_table::load_or_generate(cfg, 1, dir.string());
+        const std::string log = testing::internal::GetCapturedStderr();
+        EXPECT_FALSE(reloaded.cache_hit);
+        EXPECT_NE(log.find("PHY model revision"), std::string::npos) << log;
+        EXPECT_NE(log.find("regenerating"), std::string::npos) << log;
+        EXPECT_EQ(reloaded.table.to_json().dump(), current);
+    }
+    fs::remove_all(dir);
+}
+
 TEST(ScalePhyTable, CacheMissThenHit)
 {
     namespace fs = std::filesystem;

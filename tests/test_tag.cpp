@@ -77,6 +77,29 @@ TEST(termination_bank, loss_appears_in_evm)
     EXPECT_GT(b.constellation_evm(), 0.05);
 }
 
+TEST(termination_bank, rejects_negative_phase_error)
+{
+    termination_bank::config cfg;
+    cfg.phase_error_rms_rad = -0.01;
+    EXPECT_THROW(termination_bank{cfg}, std::invalid_argument);
+    cfg.phase_error_rms_rad = std::nan("");
+    EXPECT_THROW(termination_bank{cfg}, std::invalid_argument);
+}
+
+TEST(termination_bank, phase_errors_rotate_states_reproducibly)
+{
+    termination_bank::config cfg;
+    cfg.phase_error_rms_rad = 0.2;
+    const termination_bank ideal{termination_bank::config{}};
+    const termination_bank rough(cfg);
+    const termination_bank again(cfg);
+    EXPECT_GT(rough.constellation_evm(), ideal.constellation_evm());
+    for (std::size_t p = 0; p < rough.state_count(); ++p) {
+        EXPECT_NEAR(std::abs(rough.gammas()[p]), std::abs(ideal.gammas()[p]), 1e-12);
+        EXPECT_EQ(rough.gammas()[p], again.gammas()[p]);
+    }
+}
+
 backscatter_modulator::config modulator_config()
 {
     backscatter_modulator::config cfg;
