@@ -26,14 +26,19 @@ const std::vector<rate_option>& rate_table()
 
 rate_adapter::rate_adapter(double margin_db) : margin_db_(margin_db) {}
 
-rate_option rate_adapter::select(double snr_db) const
+std::size_t rate_adapter::select_index(double snr_db) const
 {
     const auto& table = rate_table();
-    rate_option chosen = table.front();
-    for (const auto& option : table) {
-        if (snr_db >= option.required_snr_db + margin_db_) chosen = option;
+    std::size_t chosen = 0;
+    for (std::size_t i = 0; i < table.size(); ++i) {
+        if (snr_db >= table[i].required_snr_db + margin_db_) chosen = i;
     }
     return chosen;
+}
+
+rate_option rate_adapter::select(double snr_db) const
+{
+    return rate_table()[select_index(snr_db)];
 }
 
 rate_option rate_adapter::select_smoothed(double snr_db)

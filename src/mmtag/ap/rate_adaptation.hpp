@@ -29,8 +29,12 @@ public:
     /// `margin_db` backs every threshold off for channel estimation error.
     explicit rate_adapter(double margin_db = 2.0);
 
-    /// Densest option decodable at `snr_db`; the most robust option when
-    /// even the bottom of the ladder is out of reach (caller may still fail).
+    /// Index into rate_table() of the densest option decodable at `snr_db`;
+    /// 0 (the most robust option) when even the bottom of the ladder is out
+    /// of reach (caller may still fail).
+    [[nodiscard]] std::size_t select_index(double snr_db) const;
+
+    /// rate_table()[select_index(snr_db)].
     [[nodiscard]] rate_option select(double snr_db) const;
 
     /// Smoothed selection: exponential SNR averaging across calls to avoid

@@ -97,6 +97,19 @@ void write_text_file(const std::string& path, const std::string& text)
     std::printf("wrote %s\n", path.c_str());
 }
 
+/// --metrics output: the deterministic snapshot of `metrics`, written to the
+/// --metrics=FILE path, or printed when the flag came without one.
+void emit_metrics(const obs_options& opts, const obs::metrics_registry& metrics)
+{
+    if (!opts.metrics) return;
+    const std::string snapshot = metrics.to_json_string(obs::metric_view::deterministic, 2);
+    if (opts.metrics_path.empty()) {
+        std::printf("metrics:\n%s\n", snapshot.c_str());
+    } else {
+        write_text_file(opts.metrics_path, snapshot);
+    }
+}
+
 } // namespace
 
 int run_link(const option_set& options)
@@ -331,17 +344,9 @@ int run_faults(const option_set& options)
     std::printf("  runtime: %zu tasks in %.2f s wall (%zu jobs)\n", 2 * trials,
                 wall_s, pool.jobs());
 
-    if (obs_opts.metrics) {
-        obs::metrics_registry merged;
-        for (const auto& registry : task_metrics) merged.merge(registry);
-        const std::string snapshot =
-            merged.to_json_string(obs::metric_view::deterministic, 2);
-        if (obs_opts.metrics_path.empty()) {
-            std::printf("metrics:\n%s\n", snapshot.c_str());
-        } else {
-            write_text_file(obs_opts.metrics_path, snapshot);
-        }
-    }
+    obs::metrics_registry merged;
+    for (const auto& registry : task_metrics) merged.merge(registry);
+    emit_metrics(obs_opts, merged);
     // Exit 3: the supervisor saw outages but never completed a recovery —
     // the resilience machinery itself failed, which is worse than merely
     // losing the goodput comparison (exit 2).
@@ -365,6 +370,7 @@ int run_soak(const option_set& options)
     const std::string json_path = options.get_string("json", "");
     const obs_options obs_opts = parse_obs_options(options);
     reject_leftovers(options);
+    net::validate(cfg);
 
     std::printf("soak: %zu tags (%zu faulted), %zu rounds x %zu trials, "
                 "seed %llu, fault seed %llu\n",
@@ -406,15 +412,7 @@ int run_soak(const option_set& options)
     if (!json_path.empty()) {
         write_text_file(json_path, report.to_json().dump(2));
     }
-    if (obs_opts.metrics) {
-        const std::string snapshot =
-            metrics.to_json_string(obs::metric_view::deterministic, 2);
-        if (obs_opts.metrics_path.empty()) {
-            std::printf("metrics:\n%s\n", snapshot.c_str());
-        } else {
-            write_text_file(obs_opts.metrics_path, snapshot);
-        }
-    }
+    emit_metrics(obs_opts, metrics);
     return report.all_passed() ? 0 : 3;
 }
 
@@ -437,6 +435,7 @@ int run_scale(const option_set& options)
     const std::string json_path = options.get_string("json", "");
     const obs_options obs_opts = parse_obs_options(options);
     reject_leftovers(options);
+    scale::validate(cfg);
 
     std::printf("scale: %zu tags, %zu APs (%s layout), %zu rounds x %zu trials, "
                 "seed %llu, fault seed %llu (%zu tags faulted)\n",
@@ -477,15 +476,7 @@ int run_scale(const option_set& options)
     if (!json_path.empty()) {
         write_text_file(json_path, result.to_json().dump(2));
     }
-    if (obs_opts.metrics) {
-        const std::string snapshot =
-            metrics.to_json_string(obs::metric_view::deterministic, 2);
-        if (obs_opts.metrics_path.empty()) {
-            std::printf("metrics:\n%s\n", snapshot.c_str());
-        } else {
-            write_text_file(obs_opts.metrics_path, snapshot);
-        }
-    }
+    emit_metrics(obs_opts, metrics);
     return 0;
 }
 

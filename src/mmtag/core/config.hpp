@@ -11,8 +11,8 @@
 #include "mmtag/ap/receiver.hpp"
 #include "mmtag/ap/transmitter.hpp"
 #include "mmtag/channel/backscatter_channel.hpp"
-#include "mmtag/tag/controller.hpp"
 #include "mmtag/tag/energy_model.hpp"
+#include "mmtag/tag/modulator.hpp"
 
 namespace mmtag::core {
 

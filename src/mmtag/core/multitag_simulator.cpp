@@ -62,7 +62,7 @@ namespace {
 // the payload (modulation, FEC) pair — preamble, header coding, bank and
 // switch stay identical, so the override only changes payload density.
 tag::backscatter_modulator with_mcs(const tag::backscatter_modulator& base,
-                                    const burst_mcs& mcs)
+                                    const ap::rate_option& mcs)
 {
     tag::backscatter_modulator::config cfg = base.parameters();
     cfg.frame.scheme = mcs.scheme;
@@ -79,7 +79,7 @@ double multitag_simulator::burst_duration_s(std::size_t payload_bytes) const
 }
 
 double multitag_simulator::burst_duration_s(std::size_t payload_bytes,
-                                            const burst_mcs& mcs) const
+                                            const ap::rate_option& mcs) const
 {
     const auto frame =
         with_mcs(modulator_, mcs).modulate(std::vector<std::uint8_t>(payload_bytes, 0));

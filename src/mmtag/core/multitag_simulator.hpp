@@ -8,6 +8,7 @@
 #include <optional>
 #include <vector>
 
+#include "mmtag/ap/rate_adaptation.hpp"
 #include "mmtag/ap/receiver.hpp"
 #include "mmtag/ap/transmitter.hpp"
 #include "mmtag/channel/backscatter_channel.hpp"
@@ -25,21 +26,17 @@ class metrics_registry;
 
 namespace mmtag::core {
 
-/// Per-burst MCS override: the network supervisor drops a degraded session
-/// to a robust (modulation, FEC) pair without touching the other tags in
-/// the capture. The frame header self-describes scheme and FEC, so the
-/// receiver decodes an overridden burst with no configuration change.
-struct burst_mcs {
-    phy::modulation scheme = phy::modulation::bpsk;
-    phy::fec_mode fec = phy::fec_mode::conv_half;
-};
-
 /// One tag's transmission in the shared capture window.
 struct tag_burst {
     std::size_t tag_index = 0;            ///< into the constructor's tag list
     std::vector<std::uint8_t> payload;
     double start_s = 0.0;                 ///< burst start within the capture
-    std::optional<burst_mcs> mcs;         ///< robust-mode override; nullopt = base MCS
+    /// Per-burst MCS override: the network supervisor drops a degraded
+    /// session to a robust rung of the rate ladder without touching the
+    /// other tags in the capture. The frame header self-describes scheme and
+    /// FEC, so the receiver decodes an overridden burst with no
+    /// configuration change. nullopt = the base configuration's MCS.
+    std::optional<ap::rate_option> mcs;
 };
 
 struct burst_outcome {
@@ -92,7 +89,7 @@ public:
     /// Airtime of one burst under an MCS override (robust-mode slots are
     /// longer: fewer bits per symbol, lower code rate).
     [[nodiscard]] double burst_duration_s(std::size_t payload_bytes,
-                                          const burst_mcs& mcs) const;
+                                          const ap::rate_option& mcs) const;
 
 private:
     void rebuild_seeded_state();

@@ -55,12 +55,6 @@ std::vector<std::uint32_t> tdma_scheduler::interleave_shares(
     return order;
 }
 
-std::vector<tdma_slot> tdma_scheduler::build_cycle(
-    const std::vector<slot_share>& shares) const
-{
-    return build_cycle(interleave_shares(shares));
-}
-
 tdma_metrics tdma_scheduler::metrics(std::size_t tag_count) const
 {
     if (tag_count == 0) throw std::invalid_argument("tdma: tag_count must be >= 1");

@@ -54,18 +54,13 @@ public:
     [[nodiscard]] std::vector<tdma_slot> build_cycle(
         const std::vector<std::uint32_t>& tag_ids) const;
 
-    /// Weighted cycle for degraded-mode scheduling: each tag appears
-    /// `slots` times, interleaved (see interleave_shares) so a tag holding
-    /// reallocated slots spreads across the cycle instead of monopolizing a
-    /// contiguous stretch — which is what keeps per-round access latency
-    /// bounded for every healthy tag.
-    [[nodiscard]] std::vector<tdma_slot> build_cycle(
-        const std::vector<slot_share>& shares) const;
-
     /// Round-robin interleaving of weighted shares: repeatedly sweeps the
     /// share list in order, emitting one slot per tag with allocation left,
-    /// until every share is exhausted. Deterministic in the input order (the
-    /// caller rotates the list for fairness across rounds).
+    /// until every share is exhausted, so a tag holding reallocated slots
+    /// spreads across the cycle instead of monopolizing a contiguous stretch
+    /// (which keeps per-round access latency bounded for every healthy tag).
+    /// Deterministic in the input order (the caller rotates the list for
+    /// fairness across rounds).
     [[nodiscard]] static std::vector<std::uint32_t> interleave_shares(
         const std::vector<slot_share>& shares);
 

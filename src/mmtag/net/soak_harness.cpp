@@ -7,6 +7,7 @@
 #include <optional>
 #include <stdexcept>
 
+#include "mmtag/ap/rate_adaptation.hpp"
 #include "mmtag/core/multitag_simulator.hpp"
 #include "mmtag/core/network.hpp"
 #include "mmtag/fault/fault_injector.hpp"
@@ -21,10 +22,6 @@
 namespace mmtag::net {
 
 namespace {
-
-/// The robust MCS degraded sessions and probes use: the bottom of the rate
-/// ladder (BPSK, rate-1/2), matching ap::rate_table().front().
-constexpr core::burst_mcs robust_mcs{phy::modulation::bpsk, phy::fec_mode::conv_half};
 
 constexpr std::size_t probe_payload_bytes = 4;
 
@@ -259,6 +256,8 @@ soak_trial_result run_soak_trial(const soak_config& cfg, std::size_t trial,
     core::multitag_simulator sim(scenario, population);
     if (registry != nullptr) sim.attach_metrics(registry);
 
+    // Degraded sessions and probes use the robust bottom of the rate ladder.
+    const ap::rate_option& robust_mcs = ap::rate_table().front();
     const double data_slot_s = sim.burst_duration_s(cfg.payload_bytes) * 1.05;
     const double robust_slot_s =
         sim.burst_duration_s(cfg.payload_bytes, robust_mcs) * 1.05;
@@ -461,14 +460,24 @@ void fold_invariant(invariant_result& into, const invariant_result& from)
 
 } // namespace
 
+void validate(const soak_config& cfg)
+{
+    if (cfg.tag_count == 0) throw std::invalid_argument("soak: tags must be >= 1");
+    if (cfg.faulted_count > cfg.tag_count) {
+        throw std::invalid_argument("soak: faulted tags must not exceed tags");
+    }
+    if (cfg.rounds == 0) throw std::invalid_argument("soak: rounds must be >= 1");
+    if (cfg.trials == 0) throw std::invalid_argument("soak: trials must be >= 1");
+    if (cfg.payload_bytes == 0) throw std::invalid_argument("soak: payload must be >= 1 byte");
+    if (!(cfg.min_range_m > 0.0) || !(cfg.max_range_m >= cfg.min_range_m)) {
+        throw std::invalid_argument("soak: need 0 < min range <= max range");
+    }
+}
+
 soak_report run_soak(const soak_config& cfg, runtime::thread_pool& pool,
                      obs::metrics_registry* metrics)
 {
-    if (cfg.trials == 0) throw std::invalid_argument("run_soak: trials must be >= 1");
-    if (cfg.rounds == 0) throw std::invalid_argument("run_soak: rounds must be >= 1");
-    if (cfg.faulted_count > cfg.tag_count) {
-        throw std::invalid_argument("run_soak: faulted_count > tag_count");
-    }
+    validate(cfg);
 
     struct task_output {
         soak_trial_result result;

@@ -158,8 +158,15 @@ struct soak_report {
                                                std::size_t trial, bool faulted,
                                                obs::metrics_registry* registry);
 
-/// Runs `cfg.trials` trials, each as a faulted + reference task pair on
-/// `pool`, folds them in trial order, and evaluates every invariant.
+/// Throws std::invalid_argument unless `cfg` describes a runnable soak: at
+/// least one tag, round, trial and payload byte, no more faulted tags than
+/// tags, and 0 < min_range_m <= max_range_m. Cheap; call it before any
+/// output so a bad configuration fails without side effects.
+void validate(const soak_config& cfg);
+
+/// Validates `cfg`, then runs `cfg.trials` trials, each as a faulted +
+/// reference task pair on `pool`, folds them in trial order, and evaluates
+/// every invariant.
 /// `metrics` (optional) receives the merged per-trial registries.
 [[nodiscard]] soak_report run_soak(const soak_config& cfg,
                                    runtime::thread_pool& pool,

@@ -86,20 +86,6 @@ double slot_airtime_s(const ap::rate_option& option, std::size_t payload_bytes,
            static_cast<double>(symbols) / symbol_rate_hz + mac.guard_time_s;
 }
 
-/// Densest ladder index decodable at `sinr_db` with `margin_db` to spare;
-/// the robust bottom of the ladder when nothing clears.
-std::uint16_t pick_mcs(double sinr_db, double margin_db)
-{
-    const auto& ladder = ap::rate_table();
-    std::uint16_t best = 0;
-    for (std::size_t i = 0; i < ladder.size(); ++i) {
-        if (sinr_db >= ladder[i].required_snr_db + margin_db) {
-            best = static_cast<std::uint16_t>(i);
-        }
-    }
-    return best;
-}
-
 /// Uniform [0, 1) draw keyed by the event's global sequence number.
 double event_uniform(std::uint64_t draw_seed, std::uint64_t seq)
 {
@@ -128,9 +114,10 @@ scale_trial_result run_scale_trial(const scale_config& cfg, const deployment& to
     const double probe_slot_s =
         slot_airtime_s(ladder.front(), probe_payload_bytes, cfg.scenario.symbol_rate_hz,
                        mac);
+    const ap::rate_adapter adapter(cfg.margin_db);
     std::vector<std::uint16_t> tag_mcs(n);
     for (std::size_t t = 0; t < n; ++t) {
-        tag_mcs[t] = pick_mcs(topo.tags[t].sinr_db, cfg.margin_db);
+        tag_mcs[t] = static_cast<std::uint16_t>(adapter.select_index(topo.tags[t].sinr_db));
     }
 
     // The simulated duration spans three orders of magnitude as the tag
@@ -397,10 +384,22 @@ runtime::json_value scale_result::to_json() const
     return doc;
 }
 
+void validate(const scale_config& cfg)
+{
+    if (cfg.topology.tag_count == 0) throw std::invalid_argument("scale: tags must be >= 1");
+    if (cfg.topology.ap_count == 0) throw std::invalid_argument("scale: APs must be >= 1");
+    if (!(cfg.topology.floor_m > 0.0)) throw std::invalid_argument("scale: floor must be > 0");
+    if (cfg.faulted > cfg.topology.tag_count) {
+        throw std::invalid_argument("scale: faulted tags must not exceed tags");
+    }
+    if (cfg.payload_bytes == 0) throw std::invalid_argument("scale: payload must be >= 1 byte");
+    if (cfg.trials == 0) throw std::invalid_argument("scale: trials must be >= 1");
+}
+
 scale_result run_scale(const scale_config& cfg, std::size_t jobs,
                        obs::metrics_registry* metrics, const std::string& cache_dir)
 {
-    if (cfg.trials == 0) throw std::invalid_argument("run_scale: trials must be >= 1");
+    validate(cfg);
     const deployment topo = make_deployment(cfg.topology, cfg.scenario);
 
     phy_table_config table_cfg = cfg.phy;

@@ -160,10 +160,17 @@ struct scale_result {
                                                  std::size_t trial,
                                                  obs::metrics_registry* metrics);
 
-/// Builds the deployment, loads or generates the phy table (disk cache
-/// under `cache_dir`), runs `cfg.trials` trials on `jobs` workers, and
-/// folds the results in trial order. `metrics` (optional) receives the
-/// merged scale/... and net/... registries, folded deterministically.
+/// Throws std::invalid_argument unless `cfg` describes a runnable scale-out:
+/// at least one tag, AP, trial and payload byte, a positive floor size, and
+/// no more faulted tags than tags. Cheap; call it before any output so a bad
+/// configuration fails before the phy table is calibrated or written.
+void validate(const scale_config& cfg);
+
+/// Validates `cfg`, builds the deployment, loads or generates the phy table
+/// (disk cache under `cache_dir`), runs `cfg.trials` trials on `jobs`
+/// workers, and folds the results in trial order. `metrics` (optional)
+/// receives the merged scale/... and net/... registries, folded
+/// deterministically.
 [[nodiscard]] scale_result run_scale(const scale_config& cfg, std::size_t jobs,
                                      obs::metrics_registry* metrics = nullptr,
                                      const std::string& cache_dir = "bench/out");

@@ -2,6 +2,7 @@
 
 #include <filesystem>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <string>
 
@@ -307,6 +308,45 @@ TEST(commands, soak_rejects_bad_arguments_with_exit_1)
     EXPECT_EQ(dispatch(4, zero), 1);
     const char* lopsided[] = {"mmtag_sim", "soak", "--tags", "2", "--faulted", "3"};
     EXPECT_EQ(dispatch(6, lopsided), 1);
+}
+
+TEST(commands, scale_and_soak_reject_bad_input_before_any_output)
+{
+    // Out-of-range input must fail with exit 1 before the banner prints and
+    // before the scale command calibrates (and caches) a phy table.
+    namespace fs = std::filesystem;
+    const auto phy_tables = [] {
+        std::set<std::string> names;
+        const fs::path cache = "bench/out";
+        if (!fs::is_directory(cache)) return names;
+        for (const auto& entry : fs::directory_iterator(cache)) {
+            const std::string name = entry.path().filename().string();
+            if (name.rfind("phy_table_", 0) == 0) names.insert(name);
+        }
+        return names;
+    };
+    const auto before = phy_tables();
+    const std::vector<std::vector<const char*>> cases = {
+        {"scale", "--tags", "10", "--faulted", "50"},
+        {"scale", "--tags", "10", "--payload", "0"},
+        {"scale", "--tags", "0"},
+        {"scale", "--tags", "10", "--aps", "0"},
+        {"scale", "--tags", "10", "--trials", "0"},
+        {"soak", "--tags", "4", "--faulted", "9"},
+        {"soak", "--tags", "4", "--faulted", "1", "--payload", "0"},
+        {"soak", "--tags", "0", "--faulted", "0"},
+        {"soak", "--tags", "4", "--faulted", "1", "--trials", "0"},
+    };
+    for (const auto& args : cases) {
+        std::vector<const char*> argv{"mmtag_sim"};
+        argv.insert(argv.end(), args.begin(), args.end());
+        ::testing::internal::CaptureStdout();
+        const int code = dispatch(static_cast<int>(argv.size()), argv.data());
+        const std::string out = ::testing::internal::GetCapturedStdout();
+        EXPECT_EQ(code, 1) << args[0] << " " << args[1] << " " << args[2];
+        EXPECT_EQ(out, "") << args[0];
+    }
+    EXPECT_EQ(phy_tables(), before);
 }
 
 TEST(commands, link_plate_at_angle_fails_gracefully)

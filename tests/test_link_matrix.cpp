@@ -3,6 +3,10 @@
 // the complete chain. Parameterized so a failure names its exact cell.
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <cstdio>
+#include <cstring>
+
 #include "mmtag/core/link_simulator.hpp"
 #include "mmtag/phy/bitio.hpp"
 
@@ -13,6 +17,25 @@ struct matrix_case {
     phy::modulation scheme;
     phy::fec_mode fec;
 };
+
+// gtest's default printer dumps the parameter's raw bytes, padding included,
+// so the listed (and ctest-discovered) names varied from run to run. Print
+// the same "N-byte object <..>" dump with the padding zeroed: the names stay
+// as they were, minus the noise.
+void PrintTo(const matrix_case& param, std::ostream* os)
+{
+    unsigned char bytes[sizeof(matrix_case)] = {};
+    std::memcpy(bytes + offsetof(matrix_case, scheme), &param.scheme, sizeof param.scheme);
+    std::memcpy(bytes + offsetof(matrix_case, fec), &param.fec, sizeof param.fec);
+    char hex[3];
+    *os << sizeof bytes << "-byte object <";
+    for (std::size_t i = 0; i < sizeof bytes; ++i) {
+        if (i > 0) *os << (i % 2 == 0 ? ' ' : '-');
+        std::snprintf(hex, sizeof hex, "%02X", bytes[i]);
+        *os << hex;
+    }
+    *os << '>';
+}
 
 std::string case_name(const ::testing::TestParamInfo<matrix_case>& info)
 {

@@ -102,6 +102,16 @@ TEST(tdma, cycle_covers_all_tags_without_overlap)
     EXPECT_EQ(cycle[2].tag_id, 13u);
 }
 
+TEST(tdma, interleave_shares_spreads_weighted_tags)
+{
+    // Tag 7 holds three slots (two reallocated from quarantined tags), 13
+    // none: 7 must not take a contiguous stretch, and 13 must not appear.
+    const std::vector<slot_share> shares{{7, 3}, {11, 1}, {13, 0}, {17, 1}};
+    const auto order = tdma_scheduler::interleave_shares(shares);
+    EXPECT_EQ(order, (std::vector<std::uint32_t>{7, 11, 17, 7, 7}));
+    EXPECT_TRUE(tdma_scheduler::interleave_shares({}).empty());
+}
+
 TEST(tdma, per_tag_goodput_divides_by_population)
 {
     tdma_scheduler scheduler{tdma_config{}};

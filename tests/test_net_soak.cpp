@@ -359,6 +359,17 @@ TEST(soak_harness, rejects_degenerate_configs)
     cfg = small_soak();
     cfg.faulted_count = cfg.tag_count + 1;
     EXPECT_THROW((void)net::run_soak(cfg, pool), std::invalid_argument);
+    cfg = small_soak();
+    cfg.tag_count = 0;
+    cfg.faulted_count = 0;
+    EXPECT_THROW((void)net::run_soak(cfg, pool), std::invalid_argument);
+    cfg = small_soak();
+    cfg.payload_bytes = 0;
+    EXPECT_THROW((void)net::run_soak(cfg, pool), std::invalid_argument);
+    cfg = small_soak();
+    cfg.min_range_m = cfg.max_range_m + 1.0;
+    EXPECT_THROW((void)net::run_soak(cfg, pool), std::invalid_argument);
+    EXPECT_NO_THROW(net::validate(small_soak()));
 }
 
 } // namespace

@@ -183,4 +183,19 @@ TEST(ScaleDes, RejectsZeroTrials)
                  std::invalid_argument);
 }
 
+TEST(ScaleDes, ValidateCoversEveryCountBeforeCalibration)
+{
+    EXPECT_NO_THROW(scale::validate(small_config()));
+    const auto rejects = [](auto mutate) {
+        auto cfg = small_config();
+        mutate(cfg);
+        EXPECT_THROW(scale::validate(cfg), std::invalid_argument);
+    };
+    rejects([](scale::scale_config& c) { c.topology.tag_count = 0; });
+    rejects([](scale::scale_config& c) { c.topology.ap_count = 0; });
+    rejects([](scale::scale_config& c) { c.topology.floor_m = 0.0; });
+    rejects([](scale::scale_config& c) { c.faulted = c.topology.tag_count + 1; });
+    rejects([](scale::scale_config& c) { c.payload_bytes = 0; });
+}
+
 } // namespace

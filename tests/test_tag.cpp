@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
 #include "mmtag/phy/bitio.hpp"
-#include "mmtag/tag/controller.hpp"
 #include "mmtag/tag/energy_model.hpp"
 #include "mmtag/tag/modulator.hpp"
 #include "mmtag/tag/termination_bank.hpp"
@@ -160,56 +159,6 @@ TEST(modulator, rejects_non_integer_sps)
     auto cfg = modulator_config();
     cfg.symbol_rate_hz = 3e6; // 250/3 not integer
     EXPECT_THROW(backscatter_modulator{cfg}, std::invalid_argument);
-}
-
-tag_controller::config controller_config()
-{
-    tag_controller::config cfg;
-    cfg.modulator = modulator_config();
-    cfg.detector.sample_rate_hz = 250e6;
-    cfg.detector.video_bandwidth_hz = 10e6;
-    cfg.detector.responsivity_v_per_w = 2000.0;
-    cfg.detector.noise_equivalent_power_w = 1e-12;
-    cfg.wake_threshold_v = 1e-5;
-    cfg.detect_hold_s = 0.4e-6;
-    cfg.turnaround_s = 1e-6;
-    return cfg;
-}
-
-TEST(controller, responds_to_strong_query)
-{
-    tag_controller controller(controller_config());
-    // -30 dBm incident carrier starting at sample 1000.
-    cvec incident(60000, cf64{});
-    const double amplitude = std::sqrt(1e-6);
-    for (std::size_t i = 1000; i < incident.size(); ++i) incident[i] = {amplitude, 0.0};
-    const auto response = controller.respond_to_query(incident, phy::random_bytes(8, 4));
-    EXPECT_TRUE(response.responded);
-    EXPECT_GT(response.detect_sample, 1000u);
-    EXPECT_LT(response.detect_sample, 2000u);
-    EXPECT_EQ(response.respond_sample, response.detect_sample + 250); // 1 us at 250 MS/s
-    EXPECT_EQ(response.gamma.size(), incident.size());
-}
-
-TEST(controller, stays_quiet_without_carrier)
-{
-    tag_controller controller(controller_config());
-    const cvec incident(20000, cf64{});
-    const auto response = controller.respond_to_query(incident, phy::random_bytes(8, 5));
-    EXPECT_FALSE(response.responded);
-    for (const auto& g : response.gamma) {
-        EXPECT_NEAR(std::abs(g), 0.0, 1e-9); // absorptive throughout
-    }
-}
-
-TEST(controller, too_short_window_no_response)
-{
-    auto cfg = controller_config();
-    cfg.turnaround_s = 1e-3; // longer than the window
-    tag_controller controller(cfg);
-    cvec incident(5000, cf64{1e-3, 0.0});
-    const auto response = controller.respond_to_query(incident, phy::random_bytes(8, 6));
-    EXPECT_FALSE(response.responded);
 }
 
 TEST(energy, per_mode_ordering)
