@@ -1,57 +1,78 @@
 #!/usr/bin/env bash
-# Dead-module gate: builds every non-test target (benches, examples, the CLI)
-# with the GNU linker's archive-member trace (-Wl,-t,-t) and compares the
-# libmmtag.a members the linker pulled in against the archive's contents
-# (`ar t`). A member no binary pulls in is library code nothing runs.
+# Dead-code gate, per symbol: builds the library and every non-test binary
+# (the benches, the examples, the CLI and perfbench_runner) unoptimised with
+# one section per function and lets the linker drop every section no binary
+# reaches (-O0 -ffunction-sections -fdata-sections -Wl,--gc-sections). A
+# mmtag:: function defined in libmmtag.a (`nm`) that no binary keeps is
+# library code nothing runs. An archive member no binary pulls in is the case
+# where all of its functions are dead.
 #
 #   scripts/check_linked_sources.sh [build-dir]    (default: build-linkcheck)
 #
 # Run from anywhere; the build directory is relative to the repository root.
-# Prints each never-linked member with its source file and exits 1, or prints
-# nothing and exits 0 when every member is linked by at least one binary.
+# Functions that only tests call but that stay on purpose (a test's reference
+# implementation, or a read-out a test uses to observe a live object) are
+# listed in scripts/linked_symbols_keep.txt, one per line with that test.
+# Prints each dead function's demangled signature and exits 1, or prints
+# nothing and exits 0 when every function is kept or listed.
 set -euo pipefail
 
 root=$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)
 build=${1:-build-linkcheck}
 case $build in /*) ;; *) build=$root/$build ;; esac
 jobs=$(nproc 2> /dev/null || echo 2)
+keep=$root/scripts/linked_symbols_keep.txt
 
-# Build output (compiler diagnostics included) goes to the trace file and is
+# Build output (compiler diagnostics included) goes to the log file and is
 # shown only when a step fails.
-trace=$(mktemp)
-trap 'rm -f "$trace"' EXIT
+log=$(mktemp)
+trap 'rm -f "$log"' EXIT
 run() {
-  if ! "$@" >> "$trace" 2>&1; then
-    cat "$trace" >&2
+  if ! "$@" >> "$log" 2>&1; then
+    cat "$log" >&2
     echo "check_linked_sources: build failed: $*" >&2
     exit 2
   fi
 }
 
-run cmake -S "$root" -B "$build" -G "Unix Makefiles" -DCMAKE_BUILD_TYPE=Release \
-  -DCMAKE_EXE_LINKER_FLAGS=-Wl,-t,-t
+flags=(-DCMAKE_BUILD_TYPE=None -G "Unix Makefiles"
+       "-DCMAKE_CXX_FLAGS=-O0 -ffunction-sections -fdata-sections"
+       -DCMAKE_EXE_LINKER_FLAGS=-Wl,--gc-sections)
+run cmake -S "$root" -B "$build" "${flags[@]}"
 run cmake --build "$build" --target mmtag -j "$jobs"
-
-# Relink the non-test targets so the trace covers each of them even when the
-# directory was built before; the test binary is left out on purpose.
+# The test binary is left out on purpose: code only tests reach is dead.
 for dir in bench examples tools; do
-  find "$build/$dir" -maxdepth 1 -type f -perm -u+x -delete
   run make -C "$build/$dir" -j "$jobs" --no-print-directory
 done
+# perfbench is a separate CMake project over the same sources.
+run cmake -S "$root/perfbench" -B "$build/perfbench" "${flags[@]}"
+run cmake --build "$build/perfbench" --target perfbench_runner -j "$jobs"
 
-# GNU ld prints a pulled member as "(path/libmmtag.a)member.o"; newer
-# releases print "path/libmmtag.a(member.o)". Accept both.
-pulled=$(sed -n -e 's|^(.*libmmtag\.a)\(.*\.o\)$|\1|p' \
-                -e 's|^.*libmmtag\.a(\(.*\.o\))$|\1|p' "$trace" | sort -u)
-if [ -z "$pulled" ]; then
-  echo "check_linked_sources: no libmmtag.a members in the linker trace" >&2
+# Demangled signatures of the functions (text symbols, global, local or weak)
+# a file defines in the mmtag namespace, lambdas inside them included. The
+# filter runs on mangled names so that library templates instantiated for an
+# mmtag type (std::copy<mmtag::...>) are not counted.
+functions() {
+  nm --defined-only "$@" | sed -n 's/^[0-9a-f]* [TtWw] \(_ZZ\{0,1\}N[KVRO]*5mmtag.*\)$/\1/p' |
+    c++filt | sort -u
+}
+
+binaries=$(find "$build/bench" "$build/examples" "$build/tools" -maxdepth 1 -type f -perm -u+x)
+binaries="$binaries $build/perfbench/perfbench_runner"
+if [ "$(echo "$binaries" | wc -w)" -ne 31 ]; then
+  echo "check_linked_sources: expected 31 non-test binaries, found:" $binaries >&2
   exit 2
 fi
 
-unlinked=$(comm -23 <(ar t "$build/src/libmmtag.a" | sort -u) <(echo "$pulled"))
-[ -z "$unlinked" ] && exit 0
-for member in $unlinked; do
-  source=$(cd "$root" && find src -name "${member%.o}" | head -n 1)
-  echo "never linked: $member (${source:-source not found})"
-done
+library=$(functions "$build/src/libmmtag.a")
+if [ -z "$library" ]; then
+  echo "check_linked_sources: no mmtag:: functions in libmmtag.a" >&2
+  exit 2
+fi
+# A kept-list line is "<test name> <demangled signature>"; '#' starts a comment.
+kept=$(sed -e '/^#/d' -e '/^$/d' -e 's/^[^ ]* //' "$keep" | sort -u)
+# shellcheck disable=SC2086
+dead=$(comm -23 <(echo "$library") <(functions $binaries) | comm -23 - <(echo "$kept"))
+[ -z "$dead" ] && exit 0
+echo "$dead" | sed 's/^/dead: /'
 exit 1

@@ -137,6 +137,7 @@ int run_link(const option_set& options)
         throw std::invalid_argument("--reflector must be van-atta or plate");
     }
     const auto frames = static_cast<std::size_t>(options.get_uint("frames", 10));
+    if (frames == 0) throw std::invalid_argument("--frames must be >= 1");
     const auto payload = static_cast<std::size_t>(options.get_uint("payload", 32));
     reject_leftovers(options);
 

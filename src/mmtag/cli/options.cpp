@@ -58,22 +58,6 @@ double option_set::get_double(const std::string& key, double fallback) const
     }
 }
 
-std::int64_t option_set::get_int(const std::string& key, std::int64_t fallback) const
-{
-    const auto it = values_.find(key);
-    if (it == values_.end()) return fallback;
-    consumed_[key] = true;
-    try {
-        std::size_t used = 0;
-        const long long value = std::stoll(it->second, &used);
-        if (used != it->second.size()) throw std::invalid_argument("trailing junk");
-        return value;
-    } catch (const std::exception&) {
-        throw std::invalid_argument("--" + key + " expects an integer, got '" + it->second +
-                                    "'");
-    }
-}
-
 std::uint64_t option_set::get_uint(const std::string& key, std::uint64_t fallback) const
 {
     const auto it = values_.find(key);
@@ -103,16 +87,6 @@ std::string option_set::get_string(const std::string& key, const std::string& fa
     if (it == values_.end()) return fallback;
     consumed_[key] = true;
     return it->second;
-}
-
-bool option_set::get_flag(const std::string& key) const
-{
-    const auto it = values_.find(key);
-    if (it == values_.end()) return false;
-    consumed_[key] = true;
-    if (it->second == "true" || it->second == "1" || it->second == "yes") return true;
-    if (it->second == "false" || it->second == "0" || it->second == "no") return false;
-    throw std::invalid_argument("--" + key + " is a flag; got '" + it->second + "'");
 }
 
 std::vector<std::string> option_set::unconsumed() const

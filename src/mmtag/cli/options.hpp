@@ -30,7 +30,6 @@ public:
     /// Typed getters: return the default when absent, throw
     /// std::invalid_argument when present but unparseable/out of range.
     [[nodiscard]] double get_double(const std::string& key, double fallback) const;
-    [[nodiscard]] std::int64_t get_int(const std::string& key, std::int64_t fallback) const;
     /// Strict non-negative integer: rejects a leading sign (stoull would
     /// silently wrap "-1" to 2^64-1), scientific notation ("1e3"), trailing
     /// junk, and overflow — the counts (--jobs, --trials, --seed) where a
@@ -39,7 +38,6 @@ public:
                                          std::uint64_t fallback) const;
     [[nodiscard]] std::string get_string(const std::string& key,
                                          const std::string& fallback) const;
-    [[nodiscard]] bool get_flag(const std::string& key) const;
 
     /// Keys that were supplied but never consumed by a getter; commands call
     /// this last to reject typos.

@@ -48,7 +48,7 @@ struct burst_outcome {
 
 class multitag_simulator {
 public:
-    multitag_simulator(const system_config& base, std::vector<tag_descriptor> tags);
+    multitag_simulator(const system_config& base, const std::vector<tag_descriptor>& tags);
 
     [[nodiscard]] std::size_t tag_count() const { return channels_.size(); }
 
@@ -71,13 +71,6 @@ public:
     /// Simulated time: the sum of all capture windows run so far.
     [[nodiscard]] double clock_s() const { return clock_s_; }
 
-    /// Restarts the deterministic stream as if freshly constructed with
-    /// `seed`: resets the clock and run counter and re-derives every seeded
-    /// component (transmitter dither, per-tag fading). Lets a sweep worker
-    /// reuse one simulator across independent Monte-Carlo trials
-    /// (seed = runtime::trial_seed(...)) instead of rebuilding it.
-    void reseed(std::uint64_t seed);
-
     /// Runs one shared capture containing all bursts, then attempts to
     /// receive each burst in its own window. Overlapping bursts interfere at
     /// the sample level; well-separated slots decode independently.
@@ -92,10 +85,7 @@ public:
                                           const ap::rate_option& mcs) const;
 
 private:
-    void rebuild_seeded_state();
-
     system_config base_;
-    std::vector<tag_descriptor> tags_;
     std::vector<channel::backscatter_channel> channels_;
     tag::backscatter_modulator modulator_;
     ap::ap_transmitter transmitter_;

@@ -17,10 +17,6 @@ public:
 
     [[nodiscard]] cf64 process(cf64 input);
     [[nodiscard]] cvec process(std::span<const cf64> input);
-    void reset();
-
-    /// Magnitude response at a normalized frequency (cycles/sample).
-    [[nodiscard]] double magnitude_response(double frequency_norm) const;
 
 private:
     double pole_;

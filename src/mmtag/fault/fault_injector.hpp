@@ -8,7 +8,9 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 
+#include "mmtag/common.hpp"
 #include "mmtag/fault/fault_schedule.hpp"
 
 namespace mmtag::obs {
@@ -30,6 +32,28 @@ struct impairment {
 
     [[nodiscard]] bool interferer_active() const { return interferer_rel_db > -300.0; }
     [[nodiscard]] bool any() const;
+
+    /// Factor on the tag's reflection coefficient: blockage shadows the tag
+    /// path twice (AP->tag and tag->AP); a brownout stops the modulation,
+    /// leaving the absorptive idle state.
+    [[nodiscard]] double tag_power_scale() const
+    {
+        return tag_powered ? tag_amplitude * tag_amplitude : 0.0;
+    }
+
+    /// Carrier dropout: scales the AP's transmitted carrier (the PA output
+    /// collapses; the receive LO keeps running).
+    void apply_to_carrier(std::span<cf64> rf) const;
+
+    /// The impairments of the received capture. Adds the in-band CW
+    /// interferer, `interferer_rel_db` above `reference_amplitude` (a tag's
+    /// round-trip return at unit |Gamma|) and offset from the carrier by
+    /// 0.35 x the symbol rate so it lands inside the receive bandwidth. Then
+    /// spins the capture at the LO offset: the synthesizer stepped but the
+    /// transmit-side LO record the receiver mixes against did not, which
+    /// self-coherent downconversion cannot remove.
+    void apply_to_capture(std::span<cf64> capture, double reference_amplitude,
+                          double symbol_rate_hz, double sample_rate_hz) const;
 };
 
 class fault_injector {

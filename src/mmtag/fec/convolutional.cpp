@@ -168,16 +168,6 @@ std::size_t infer_flat_length(code_rate rate, std::size_t punctured)
 
 } // namespace
 
-double rate_fraction(code_rate rate)
-{
-    switch (rate) {
-    case code_rate::half: return 0.5;
-    case code_rate::two_thirds: return 2.0 / 3.0;
-    case code_rate::three_quarters: return 0.75;
-    }
-    throw std::invalid_argument("rate_fraction: unknown code rate");
-}
-
 std::vector<std::uint8_t> convolutional_encode(std::span<const std::uint8_t> bits, code_rate rate)
 {
     std::vector<std::uint8_t> flat;

@@ -20,12 +20,6 @@ struct tdma_config {
     std::size_t overhead_bits = 256;
 };
 
-struct tdma_slot {
-    std::uint32_t tag_id = 0;
-    double start_s = 0.0;
-    double duration_s = 0.0;
-};
-
 /// Degraded-mode allocation: how many slots of the cycle a tag receives.
 /// Zero drops the tag from the cycle (a quarantined session), counts above
 /// one absorb airtime freed by dropped tags.
@@ -49,10 +43,6 @@ public:
 
     /// Airtime of one tag's slot (query + turnaround + burst + guard).
     [[nodiscard]] double slot_duration_s() const;
-
-    /// Builds one polling cycle over `tag_ids`.
-    [[nodiscard]] std::vector<tdma_slot> build_cycle(
-        const std::vector<std::uint32_t>& tag_ids) const;
 
     /// Round-robin interleaving of weighted shares: repeatedly sweeps the
     /// share list in order, emitting one slot per tag with allocation left,

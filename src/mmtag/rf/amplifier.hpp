@@ -59,13 +59,6 @@ public:
     /// which for a constant-envelope drive is rare.
     void process_in_place(std::span<cf64> buffer) const;
 
-    /// Output power [dBm] for a CW input of `input_dbm` — for compression
-    /// curve characterization.
-    [[nodiscard]] double output_power_dbm(double input_dbm) const;
-
-    /// Input power at which gain drops 1 dB below small-signal gain.
-    [[nodiscard]] double input_p1db_dbm() const;
-
 private:
     /// Output/input amplitude ratio for an input amplitude >= 1e-30.
     [[nodiscard]] double scale(double amplitude) const;

@@ -119,11 +119,8 @@ double json_value::as_number() const
 
 std::uint64_t json_value::as_uint() const
 {
-    if (kind_ == kind::unsigned_integer) return unsigned_;
-    if (kind_ == kind::integer && integer_ >= 0) {
-        return static_cast<std::uint64_t>(integer_);
-    }
-    throw std::logic_error("json_value::as_uint on non-unsigned value");
+    if (!is_uint()) throw std::logic_error("json_value::as_uint on non-unsigned value");
+    return kind_ == kind::unsigned_integer ? unsigned_ : static_cast<std::uint64_t>(integer_);
 }
 
 bool json_value::as_boolean() const

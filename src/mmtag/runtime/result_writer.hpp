@@ -75,6 +75,11 @@ public:
         return kind_ == kind::number || kind_ == kind::integer ||
                kind_ == kind::unsigned_integer;
     }
+    /// A non-negative integer: the kinds as_uint() accepts.
+    [[nodiscard]] bool is_uint() const
+    {
+        return kind_ == kind::unsigned_integer || (kind_ == kind::integer && integer_ >= 0);
+    }
 
     // Read accessors for parsed documents (runtime::parse_json) — the
     // loading half of the disk-cache round trip. Typed getters throw

@@ -394,6 +394,7 @@ void validate(const scale_config& cfg)
     }
     if (cfg.payload_bytes == 0) throw std::invalid_argument("scale: payload must be >= 1 byte");
     if (cfg.trials == 0) throw std::invalid_argument("scale: trials must be >= 1");
+    if (cfg.frames == 0) throw std::invalid_argument("scale: frames must be >= 1");
 }
 
 scale_result run_scale(const scale_config& cfg, std::size_t jobs,

@@ -308,6 +308,14 @@ phy_table phy_table::from_json(const runtime::json_value& doc,
             reject("malformed curve arrays");
         }
         for (std::size_t i = 0; i < sinr->size(); ++i) {
+            // Element kinds are checked here: a corrupt cache must be
+            // rejected (and regenerated), not abort through a typed getter.
+            if (!sinr->at(i).is_number() || !per->at(i).is_number()) {
+                reject("curve SINR/PER entry is not a number");
+            }
+            if (!frames->at(i).is_uint()) {
+                reject("curve frame count is not a non-negative integer");
+            }
             c.sinr_db.push_back(sinr->at(i).as_number());
             c.per.push_back(per->at(i).as_number());
             c.frames.push_back(frames->at(i).as_uint());

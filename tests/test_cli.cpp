@@ -26,14 +26,14 @@ TEST(options, parses_subcommand_and_pairs)
     const auto opts = parse({"link", "--distance", "3.5", "--frames", "7"});
     EXPECT_EQ(opts.command(), "link");
     EXPECT_DOUBLE_EQ(opts.get_double("distance", 0.0), 3.5);
-    EXPECT_EQ(opts.get_int("frames", 0), 7);
+    EXPECT_EQ(opts.get_uint("frames", 0), 7u);
 }
 
 TEST(options, equals_form)
 {
     const auto opts = parse({"budget", "--tx-power=30", "--points=5"});
     EXPECT_DOUBLE_EQ(opts.get_double("tx-power", 0.0), 30.0);
-    EXPECT_EQ(opts.get_int("points", 0), 5);
+    EXPECT_EQ(opts.get_uint("points", 0), 5u);
 }
 
 TEST(options, defaults_when_absent)
@@ -41,13 +41,15 @@ TEST(options, defaults_when_absent)
     const auto opts = parse({"link"});
     EXPECT_DOUBLE_EQ(opts.get_double("distance", 2.0), 2.0);
     EXPECT_EQ(opts.get_string("scheme", "qpsk"), "qpsk");
-    EXPECT_FALSE(opts.get_flag("csv"));
+    EXPECT_EQ(opts.get_uint("frames", 40), 40u);
 }
 
 TEST(options, bare_flag)
 {
-    const auto opts = parse({"link", "--csv"});
-    EXPECT_TRUE(opts.get_flag("csv"));
+    // A bare key reads as the value "true" (how `--metrics` without a file
+    // is told apart from `--metrics=FILE`).
+    const auto opts = parse({"link", "--metrics"});
+    EXPECT_EQ(opts.get_string("metrics", ""), "true");
 }
 
 TEST(options, rejects_malformed_input)
@@ -63,7 +65,7 @@ TEST(options, rejects_bad_numbers)
 {
     const auto opts = parse({"link", "--distance", "abc", "--frames", "2.5"});
     EXPECT_THROW((void)opts.get_double("distance", 0.0), std::invalid_argument);
-    EXPECT_THROW((void)opts.get_int("frames", 0), std::invalid_argument);
+    EXPECT_THROW((void)opts.get_uint("frames", 0), std::invalid_argument);
 }
 
 TEST(options, tracks_unconsumed_keys)
@@ -310,21 +312,24 @@ TEST(commands, soak_rejects_bad_arguments_with_exit_1)
     EXPECT_EQ(dispatch(6, lopsided), 1);
 }
 
+/// Names of the cached phy tables the scale command writes.
+std::set<std::string> phy_tables()
+{
+    namespace fs = std::filesystem;
+    std::set<std::string> names;
+    const fs::path cache = "bench/out";
+    if (!fs::is_directory(cache)) return names;
+    for (const auto& entry : fs::directory_iterator(cache)) {
+        const std::string name = entry.path().filename().string();
+        if (name.rfind("phy_table_", 0) == 0) names.insert(name);
+    }
+    return names;
+}
+
 TEST(commands, scale_and_soak_reject_bad_input_before_any_output)
 {
     // Out-of-range input must fail with exit 1 before the banner prints and
     // before the scale command calibrates (and caches) a phy table.
-    namespace fs = std::filesystem;
-    const auto phy_tables = [] {
-        std::set<std::string> names;
-        const fs::path cache = "bench/out";
-        if (!fs::is_directory(cache)) return names;
-        for (const auto& entry : fs::directory_iterator(cache)) {
-            const std::string name = entry.path().filename().string();
-            if (name.rfind("phy_table_", 0) == 0) names.insert(name);
-        }
-        return names;
-    };
     const auto before = phy_tables();
     const std::vector<std::vector<const char*>> cases = {
         {"scale", "--tags", "10", "--faulted", "50"},
@@ -344,6 +349,27 @@ TEST(commands, scale_and_soak_reject_bad_input_before_any_output)
         const int code = dispatch(static_cast<int>(argv.size()), argv.data());
         const std::string out = ::testing::internal::GetCapturedStdout();
         EXPECT_EQ(code, 1) << args[0] << " " << args[1] << " " << args[2];
+        EXPECT_EQ(out, "") << args[0];
+    }
+    EXPECT_EQ(phy_tables(), before);
+}
+
+TEST(commands, zero_frames_is_rejected_before_any_output)
+{
+    // --frames 0 asks for no work: it must not print a banner or results,
+    // run a round, or calibrate (and cache) a phy table.
+    const auto before = phy_tables();
+    const std::vector<std::vector<const char*>> cases = {
+        {"scale", "--tags", "20", "--aps", "1", "--frames", "0"},
+        {"link", "--frames", "0"},
+    };
+    for (const auto& args : cases) {
+        std::vector<const char*> argv{"mmtag_sim"};
+        argv.insert(argv.end(), args.begin(), args.end());
+        ::testing::internal::CaptureStdout();
+        const int code = dispatch(static_cast<int>(argv.size()), argv.data());
+        const std::string out = ::testing::internal::GetCapturedStdout();
+        EXPECT_EQ(code, 1) << args[0];
         EXPECT_EQ(out, "") << args[0];
     }
     EXPECT_EQ(phy_tables(), before);

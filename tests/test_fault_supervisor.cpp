@@ -2,12 +2,15 @@
 // machine, exercised through synthetic drivers (no RF) so they run fast.
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <limits>
 #include <stdexcept>
+#include <vector>
 
 #include "mmtag/ap/link_supervisor.hpp"
 #include "mmtag/core/multitag_simulator.hpp"
 #include "mmtag/fault/fault_injector.hpp"
+#include "mmtag/obs/trace.hpp"
 #include "mmtag/phy/bitio.hpp"
 
 using namespace mmtag;
@@ -297,7 +300,7 @@ TEST(link_supervisor, watchdog_requests_reacquisition_after_probe_budget)
         supervisor.record(false, -100.0, t += 1e-4);
     }
     EXPECT_TRUE(supervisor.next_attempt().reacquire);
-    supervisor.note_reacquisition();
+    supervisor.note_reacquisition(t);
     EXPECT_FALSE(supervisor.next_attempt().reacquire); // budget reset
     EXPECT_EQ(supervisor.metrics().reacquisitions, 1u);
 }
@@ -346,6 +349,38 @@ TEST(run_supervised, rides_through_an_outage_and_reports_recovery_metrics)
     EXPECT_GT(result.recovery.mean_detect_s(), 0.0);
     EXPECT_GT(result.recovery.mean_recover_s(), 0.0);
     EXPECT_EQ(result.frames_delivered, 60u); // nothing dropped: probes saved it
+}
+
+TEST(run_supervised, traces_reacquisitions_at_link_time)
+{
+    // A link that never comes back: the watchdog reacquires again and again,
+    // and each supervisor.reacquire marker must carry the link time at which
+    // it happened.
+    const auto cfg = fast_supervisor();
+    scripted_link link;
+    link.outage_start_s = 1e-3;
+    link.outage_end_s = std::numeric_limits<double>::infinity();
+    obs::tracer::start();
+    const auto result =
+        ap::run_supervised(cfg, ap::rate_table().back(), link.driver(cfg), 20, 192.0);
+    obs::tracer::stop();
+    ASSERT_GE(result.recovery.reacquisitions, 2u);
+
+    std::vector<double> link_s;
+    for (const auto& event : obs::tracer::events()) {
+        if (event.name != "supervisor.reacquire") continue;
+        double value = -1.0;
+        ASSERT_EQ(std::sscanf(event.args.c_str(), "{\"link_s\": %lf}", &value), 1)
+            << event.args;
+        link_s.push_back(value);
+    }
+    ASSERT_EQ(link_s.size(), result.recovery.reacquisitions);
+    for (std::size_t i = 0; i < link_s.size(); ++i) {
+        EXPECT_GT(link_s[i], 0.0) << "reacquisition " << i;
+        if (i > 0) {
+            EXPECT_GE(link_s[i], link_s[i - 1]) << "reacquisition " << i;
+        }
+    }
 }
 
 TEST(run_supervised, beats_plain_arq_on_an_outage_prone_link)

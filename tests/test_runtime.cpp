@@ -395,29 +395,6 @@ TEST(determinism, faulted_trials_replay_on_parallel_path)
     }
 }
 
-TEST(determinism, multitag_reseed_replays_exactly)
-{
-    auto cfg = core::fast_scenario();
-    cfg.seed = 21;
-    std::vector<core::tag_descriptor> tags{{0, 2.0, 0.0}, {1, 3.5, 0.2}};
-    core::multitag_simulator sim(cfg, tags);
-
-    const double slot_s = sim.burst_duration_s(16) + 20e-6;
-    std::vector<core::tag_burst> bursts;
-    for (std::size_t t = 0; t < tags.size(); ++t) {
-        bursts.push_back({t, phy::random_bytes(16, substream(21, 2 + t)),
-                          static_cast<double>(t) * slot_s});
-    }
-    const auto first = sim.run(bursts);
-    sim.reseed(21);
-    const auto replay = sim.run(bursts);
-    ASSERT_EQ(first.size(), replay.size());
-    for (std::size_t t = 0; t < first.size(); ++t) {
-        EXPECT_EQ(first[t].delivered, replay[t].delivered);
-        EXPECT_DOUBLE_EQ(first[t].snr_db, replay[t].snr_db);
-    }
-}
-
 // ----------------------------------------------------------------- JSON model
 
 using testutil::json_checker;

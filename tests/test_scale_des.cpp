@@ -196,6 +196,7 @@ TEST(ScaleDes, ValidateCoversEveryCountBeforeCalibration)
     rejects([](scale::scale_config& c) { c.topology.floor_m = 0.0; });
     rejects([](scale::scale_config& c) { c.faulted = c.topology.tag_count + 1; });
     rejects([](scale::scale_config& c) { c.payload_bytes = 0; });
+    rejects([](scale::scale_config& c) { c.frames = 0; });
 }
 
 } // namespace

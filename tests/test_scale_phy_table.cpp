@@ -193,6 +193,39 @@ TEST(ScalePhyTable, LoaderFailsLoudOnTamperedTables)
     }
 }
 
+TEST(ScalePhyTable, CorruptedCacheBytesAreRejectedNotFatal)
+{
+    // The cached table is input from outside the program. Every one-byte
+    // corruption must either fail to parse, still load, or be rejected as a
+    // simulation_error (which load_or_generate turns into a regeneration);
+    // any other exception would abort the run instead.
+    const auto cfg = test_config();
+    const std::string text = shared_table().to_json().dump(2);
+    std::size_t mutants = 0;
+    std::size_t escaped = 0;
+    for (std::size_t pos = 0; pos < text.size(); ++pos) {
+        for (const char byte : std::string("\"-x{[.n9")) {
+            if (text[pos] == byte) continue;
+            std::string mutant = text;
+            mutant[pos] = byte;
+            ++mutants;
+            const auto doc = runtime::parse_json(mutant);
+            if (!doc) continue;
+            try {
+                (void)phy_table::from_json(*doc, cfg);
+            } catch (const simulation_error&) {
+            } catch (const std::exception& error) {
+                if (escaped++ == 0) {
+                    ADD_FAILURE() << "byte " << pos << " set to '" << byte
+                                  << "' escapes as: " << error.what();
+                }
+            }
+        }
+    }
+    EXPECT_GT(mutants, 10000u);
+    EXPECT_EQ(escaped, 0u) << "of " << mutants << " mutants";
+}
+
 TEST(ScalePhyTable, PreviousPhyModelRevisionIsRegeneratedNotLoaded)
 {
     namespace fs = std::filesystem;

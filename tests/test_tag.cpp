@@ -140,13 +140,6 @@ TEST(modulator, transition_count_bounded_by_symbols)
     EXPECT_LT(frame.transitions, frame.states.size());
 }
 
-TEST(modulator, information_rate)
-{
-    backscatter_modulator mod(modulator_config());
-    // QPSK (2 b/sym) * R=1/2 * 5 Msym/s = 5 Mb/s.
-    EXPECT_NEAR(mod.information_rate_bps(), 5e6, 1.0);
-}
-
 TEST(modulator, rejects_symbol_rate_beyond_switch)
 {
     auto cfg = modulator_config();
