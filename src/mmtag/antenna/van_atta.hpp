@@ -30,8 +30,6 @@ public:
 
     van_atta_array(const config& cfg, std::shared_ptr<const element> radiator);
 
-    [[nodiscard]] std::size_t element_count() const { return cfg_.element_count; }
-
     /// Complex bistatic re-radiation coefficient: relative field coupling
     /// from a wave incident at `theta_in` to the far field at `theta_out`,
     /// through a termination of reflection coefficient `gamma`.

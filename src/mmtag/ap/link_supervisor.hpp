@@ -1,14 +1,14 @@
 // AP-side link supervision: outage detection from CRC-failure streaks,
-// retransmission with capped exponential backoff (the mac::arq policy),
-// graceful MCS fallback through rate adaptation down to the most robust
-// mode, and a session watchdog that re-runs acquisition when an outage
-// persists — plus the recovery metrics (time-to-detect, time-to-recover,
-// goodput retained) the R21 experiment reports.
-//
-// The state machine is pure (no RF dependencies); run_supervised() marries
-// it to any link through a small callback bundle, so the same logic drives
-// the sample-accurate core::link_simulator, the CLI, and synthetic links in
-// unit tests.
+// robust-mode probes spaced by the mac::arq capped-exponential backoff, MCS
+// fallback with smoothed-SNR ramp-up capped at the nominal rate, and a
+// watchdog that re-runs acquisition when an outage persists — plus the
+// recovery metrics (time-to-detect, time-to-recover, goodput retained) R21
+// reports. Link health is a net::tag_session with link parameters: the
+// first failure degrades (alert), outage_streak failures quarantine
+// (outage), every outage attempt is a probe and one clean probe re-admits
+// (recovery); the session's round is the attempt counter. run_supervised()
+// and the unsupervised run_plain_arq() drive any link through a callback
+// bundle: the sample-accurate core::link_simulator or a unit test's script.
 #pragma once
 
 #include <cstddef>
@@ -16,6 +16,7 @@
 
 #include "mmtag/ap/rate_adaptation.hpp"
 #include "mmtag/mac/arq.hpp"
+#include "mmtag/net/tag_session.hpp"
 
 namespace mmtag::obs {
 class metrics_registry;
@@ -23,35 +24,21 @@ class metrics_registry;
 
 namespace mmtag::ap {
 
-enum class supervisor_state {
-    nominal, ///< delivering at the adapted rate
-    alert,   ///< failures accumulating, outage not yet declared
-    outage,  ///< declared outage: robust-mode probes with backoff
-};
-
 struct supervisor_config {
-    /// Consecutive delivery failures before an outage is declared.
+    /// Consecutive failures that declare an outage (>= 2: the first alerts).
     std::size_t outage_streak = 3;
-    /// Retry cap, attempt timing, and the capped-exponential backoff policy
-    /// (initial_backoff_s > 0 enables backoff between failed attempts).
+    /// Retry cap and the capped-exponential backoff between outage probes.
     mac::arq_config arq{.max_retries = 12,
-                        .frame_time_s = 300e-6,
-                        .ack_time_s = 20e-6,
                         .initial_backoff_s = 80e-6,
                         .backoff_factor = 2.0,
-                        .max_backoff_s = 0.5e-3,
-                        .ack_loss = 0.0};
+                        .max_backoff_s = 0.5e-3};
     /// Failed outage probes between acquisition re-runs (session watchdog).
     std::size_t watchdog_probes = 5;
     /// Airtime cost of one acquisition re-run (re-lock + canceller retrain).
     double reacquisition_time_s = 0.6e-3;
     /// Rate-adapter threshold margin [dB].
     double margin_db = 2.0;
-    /// Fall back through the rate ladder during outages and ramp back via
-    /// smoothed SNR; the adapted rate never exceeds the nominal rate.
-    bool rate_fallback = true;
-    /// Optional observability registry: attempt/outage/recovery counters and
-    /// state-transition trace events. Not owned; nullptr disables.
+    /// Optional registry for the supervisor/* series. Not owned; nullptr disables.
     obs::metrics_registry* metrics = nullptr;
 };
 
@@ -81,10 +68,8 @@ public:
     struct plan {
         double wait_s = 0.0;    ///< idle backoff before transmitting
         bool reacquire = false; ///< re-run acquisition first
-        /// Send a short robust-mode probe instead of the data frame: during
-        /// an outage, blind full-frame retransmissions only burn airtime,
-        /// so the supervisor tests the link cheaply and retransmits the
-        /// data once a probe comes back.
+        /// Send a short robust-mode probe instead of the data frame: blind
+        /// full-frame retransmissions into an outage only burn airtime.
         bool probe = false;
         rate_option rate{};     ///< MCS for the attempt
     };
@@ -93,15 +78,16 @@ public:
     /// Reports the outcome of the attempt that just finished at `now_s`.
     /// `snr_db` is only consulted on delivery (rate ramp-up). `was_probe`
     /// distinguishes short link probes from data-frame attempts in the
-    /// metrics; the state machine treats both outcomes identically.
+    /// metrics; the session treats both outcomes identically.
     void record(bool delivered, double snr_db, double now_s, bool was_probe = false);
 
     /// The driver performed the reacquisition the plan asked for, at link
     /// time `now_s`.
     void note_reacquisition(double now_s);
 
-    [[nodiscard]] supervisor_state state() const { return state_; }
-    [[nodiscard]] const rate_option& current_rate() const { return rate_; }
+    /// active = nominal, degraded = alert, quarantined = outage.
+    [[nodiscard]] net::session_state state() const { return session_.state(); }
+    [[nodiscard]] const net::tag_session& session() const { return session_; }
     [[nodiscard]] const recovery_metrics& metrics() const { return metrics_; }
 
 private:
@@ -110,9 +96,10 @@ private:
     rate_adapter adapter_;
     rate_option nominal_rate_;
     rate_option rate_;
-    supervisor_state state_ = supervisor_state::nominal;
+    net::tag_session session_;
     recovery_metrics metrics_;
-    std::size_t fail_streak_ = 0;
+    std::size_t attempts_ = 0;         ///< attempts recorded (the session round)
+    std::size_t declared_attempt_ = 0; ///< attempt that declared the outage
     std::size_t probes_since_reacquire_ = 0;
     double first_fail_s_ = 0.0;
     double declared_s_ = 0.0;
@@ -122,7 +109,6 @@ private:
 struct attempt_result {
     bool delivered = false;
     double snr_db = -100.0;
-    double elapsed_s = 0.0; ///< airtime the attempt consumed
 };
 
 /// Callback bundle the supervised loop drives a link through.
@@ -167,5 +153,13 @@ struct supervised_report {
                                                const link_driver& driver,
                                                std::size_t frames,
                                                double payload_bits);
+
+/// The "supervisor off" baseline: every frame is transmitted at the fixed
+/// `rate` up to `max_retries` times back to back, then dropped. Only
+/// recovery.transmissions is counted.
+[[nodiscard]] supervised_report run_plain_arq(std::size_t max_retries,
+                                              const rate_option& rate,
+                                              const link_driver& driver,
+                                              std::size_t frames, double payload_bits);
 
 } // namespace mmtag::ap

@@ -51,7 +51,6 @@ public:
     explicit query_encoder(const config& cfg);
 
     [[nodiscard]] const config& parameters() const { return cfg_; }
-    [[nodiscard]] std::size_t unit_samples() const { return unit_samples_; }
 
     /// Amplitude envelope (values in [low_level, 1]) for one command:
     /// [settle high][delimiter low x3][sync high][gap][PIE bits][settle high].

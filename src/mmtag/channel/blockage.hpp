@@ -29,7 +29,6 @@ public:
     blockage_process(const config& cfg, std::uint64_t seed);
 
     [[nodiscard]] const config& parameters() const { return cfg_; }
-    [[nodiscard]] bool blocked() const { return blocked_; }
 
     /// Field-amplitude factor for the next sample (1 = clear).
     [[nodiscard]] double step();

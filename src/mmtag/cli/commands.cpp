@@ -139,6 +139,7 @@ int run_link(const option_set& options)
     const auto frames = static_cast<std::size_t>(options.get_uint("frames", 10));
     if (frames == 0) throw std::invalid_argument("--frames must be >= 1");
     const auto payload = static_cast<std::size_t>(options.get_uint("payload", 32));
+    if (payload == 0) throw std::invalid_argument("--payload must be >= 1");
     reject_leftovers(options);
 
     core::link_simulator sim(cfg);
@@ -213,6 +214,7 @@ int run_inventory(const option_set& options)
     const auto seeds = static_cast<std::size_t>(options.get_uint("seeds", 10));
     const double success = options.get_double("success", 0.98);
     reject_leftovers(options);
+    if (tag_count == 0) throw std::invalid_argument("--tags must be >= 1");
     if (seeds == 0) throw std::invalid_argument("--seeds must be >= 1");
 
     mac::aloha_config cfg;
@@ -255,6 +257,7 @@ int run_faults(const option_set& options)
         throw std::invalid_argument("--mean-duration must be > 0");
     }
     if (frames == 0) throw std::invalid_argument("--frames must be >= 1");
+    if (payload == 0) throw std::invalid_argument("--payload must be >= 1");
     if (trials == 0) throw std::invalid_argument("--trials must be >= 1");
 
     auto cfg = cli_scenario();
@@ -524,6 +527,7 @@ int run_sweep(const option_set& options)
     if (points == 0) throw std::invalid_argument("--points must be >= 1");
     if (trials == 0) throw std::invalid_argument("--trials must be >= 1");
     if (frames == 0) throw std::invalid_argument("--frames must be >= 1");
+    if (payload == 0) throw std::invalid_argument("--payload must be >= 1");
     if (stop_m < start_m) throw std::invalid_argument("--stop must be >= --start");
 
     const auto distance_at = [&](std::size_t point) {

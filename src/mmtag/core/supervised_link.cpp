@@ -1,6 +1,6 @@
 #include "mmtag/core/supervised_link.hpp"
 
-#include <limits>
+#include <span>
 #include <vector>
 
 #include "mmtag/fault/fault_injector.hpp"
@@ -24,51 +24,31 @@ ap::rate_option nominal_rate_of(const link_simulator& link)
     return option;
 }
 
-ap::supervised_report run(link_simulator& link, fault::fault_injector* faults,
-                          const ap::supervisor_config& cfg, std::size_t frames,
-                          std::size_t payload_bytes)
+ap::attempt_result send(link_simulator& link, const ap::rate_option& rate,
+                        std::span<const std::uint8_t> bytes)
+{
+    link.set_rate(rate.scheme, rate.fec);
+    const auto result = link.run_frame(bytes);
+    return {result.delivered, result.rx.snr_db};
+}
+
+/// A driver over `link` with `faults` attached: each offered frame draws a
+/// fresh seeded payload into `payload` (which must outlive the driver), and
+/// every transmission of it runs one sample-accurate frame.
+ap::link_driver data_driver(link_simulator& link, fault::fault_injector* faults,
+                            std::size_t payload_bytes, std::vector<std::uint8_t>& payload)
 {
     link.attach_fault_injector(faults);
-    // One registry observes the whole supervised session: the supervisor
-    // feeds it through cfg.metrics, so route the link and injector there
-    // too. A null cfg.metrics leaves any registry the caller attached alone.
-    if (cfg.metrics != nullptr) {
-        link.attach_metrics(cfg.metrics);
-        if (faults != nullptr) faults->attach_metrics(cfg.metrics);
-    }
-
-    std::vector<std::uint8_t> payload;
     ap::link_driver driver;
-    driver.next_frame = [&](std::size_t f) {
+    driver.next_frame = [&link, &payload, payload_bytes](std::size_t f) {
         payload = phy::random_bytes(payload_bytes,
                                     link.parameters().seed * 1'000'003 + 500'000 + f);
     };
-    driver.transmit = [&](const ap::rate_option& rate) {
-        link.set_rate(rate.scheme, rate.fec);
-        const auto result = link.run_frame(payload);
-        return ap::attempt_result{result.delivered, result.rx.snr_db,
-                                  result.elapsed_s};
+    driver.transmit = [&link, &payload](const ap::rate_option& rate) {
+        return send(link, rate, payload);
     };
-    // A probe is a short frame (minimal payload) at the requested robust
-    // rate: a CRC pass proves the link is usable again without spending a
-    // full data frame of airtime on a possibly dead channel.
-    const std::vector<std::uint8_t> probe_payload =
-        phy::random_bytes(4, link.parameters().seed * 1'000'003 + 499'999);
-    driver.probe = [&, probe_payload](const ap::rate_option& rate) {
-        link.set_rate(rate.scheme, rate.fec);
-        const auto result = link.run_frame(probe_payload);
-        return ap::attempt_result{result.delivered, result.rx.snr_db,
-                                  result.elapsed_s};
-    };
-    driver.wait = [&](double wait_s) { link.advance_clock(wait_s); };
-    driver.reacquire = [&] {
-        link.advance_clock(cfg.reacquisition_time_s);
-        if (faults != nullptr) faults->clear_lo_steps(link.clock_s());
-    };
-    driver.now = [&] { return link.clock_s(); };
-
-    return ap::run_supervised(cfg, nominal_rate_of(link), driver, frames,
-                              static_cast<double>(payload_bytes) * 8.0);
+    driver.now = [&link] { return link.clock_s(); };
+    return driver;
 }
 
 } // namespace
@@ -78,7 +58,23 @@ ap::supervised_report run_supervised_link(link_simulator& link,
                                           const ap::supervisor_config& cfg,
                                           std::size_t frames, std::size_t payload_bytes)
 {
-    return run(link, faults, cfg, frames, payload_bytes);
+    std::vector<std::uint8_t> payload;
+    ap::link_driver driver = data_driver(link, faults, payload_bytes, payload);
+    // A probe is a short frame (minimal payload) at the requested robust
+    // rate: a CRC pass proves the link is usable again without spending a
+    // full data frame of airtime on a possibly dead channel.
+    const std::vector<std::uint8_t> probe_payload =
+        phy::random_bytes(4, link.parameters().seed * 1'000'003 + 499'999);
+    driver.probe = [&link, probe_payload](const ap::rate_option& rate) {
+        return send(link, rate, probe_payload);
+    };
+    driver.wait = [&link](double wait_s) { link.advance_clock(wait_s); };
+    driver.reacquire = [&link, faults, reacquire_s = cfg.reacquisition_time_s] {
+        link.advance_clock(reacquire_s);
+        if (faults != nullptr) faults->clear_lo_steps(link.clock_s());
+    };
+    return ap::run_supervised(cfg, nominal_rate_of(link), driver, frames,
+                              static_cast<double>(payload_bytes) * 8.0);
 }
 
 ap::supervised_report run_baseline_link(link_simulator& link,
@@ -86,15 +82,10 @@ ap::supervised_report run_baseline_link(link_simulator& link,
                                         std::size_t max_retries, std::size_t frames,
                                         std::size_t payload_bytes)
 {
-    // Supervision disabled: the streak threshold is unreachable, so no
-    // outage is ever declared, no backoff is inserted, the rate never
-    // falls back, and the watchdog never reacquires.
-    ap::supervisor_config cfg;
-    cfg.arq.max_retries = max_retries;
-    cfg.arq.initial_backoff_s = 0.0;
-    cfg.outage_streak = std::numeric_limits<std::size_t>::max();
-    cfg.rate_fallback = false;
-    return run(link, faults, cfg, frames, payload_bytes);
+    std::vector<std::uint8_t> payload;
+    return ap::run_plain_arq(max_retries, nominal_rate_of(link),
+                             data_driver(link, faults, payload_bytes, payload), frames,
+                             static_cast<double>(payload_bytes) * 8.0);
 }
 
 } // namespace mmtag::core

@@ -1,9 +1,9 @@
 // Glue between the AP link supervisor and the sample-accurate single-link
 // simulator: offers framed traffic through the supervisor's plan
 // (backoff, MCS fallback, watchdog reacquisition) while an attached fault
-// injector perturbs the RF. The baseline variant runs the same traffic with
-// supervision disabled — plain fixed-rate stop-and-wait ARQ — which is the
-// "supervisor off" arm of the R21 experiment.
+// injector perturbs the RF. The baseline variant runs the same traffic
+// through ap::run_plain_arq — fixed-rate stop-and-wait ARQ, no supervisor —
+// which is the "supervisor off" arm of the R21 experiment.
 #pragma once
 
 #include <cstddef>
@@ -18,7 +18,8 @@ namespace mmtag::core {
 /// injected per frame window (nullptr = fault-free). Reacquisition advances
 /// the link clock by cfg.reacquisition_time_s and re-locks the LO (clearing
 /// pending LO-step faults). The link's configured (modulation, FEC) pair is
-/// the supervisor's nominal rate.
+/// the supervisor's nominal rate. cfg.metrics receives the supervisor/*
+/// series only; attach a registry to the link and injector for theirs.
 [[nodiscard]] ap::supervised_report run_supervised_link(link_simulator& link,
                                                         fault::fault_injector* faults,
                                                         const ap::supervisor_config& cfg,

@@ -8,7 +8,7 @@ namespace mmtag::fault {
 
 multi_tag_plan::multi_tag_plan(const multi_tag_config& cfg, std::size_t tag_count,
                                std::size_t faulted_count, std::uint64_t seed)
-    : cfg_(cfg), faulted_count_(faulted_count), shared_(cfg.horizon_s, {})
+    : cfg_(cfg), shared_(cfg.horizon_s, {})
 {
     if (tag_count == 0) throw std::invalid_argument("multi_tag_plan: no tags");
     if (faulted_count > tag_count) {

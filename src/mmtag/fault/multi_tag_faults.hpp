@@ -65,7 +65,6 @@ public:
 
     [[nodiscard]] const multi_tag_config& parameters() const { return cfg_; }
     [[nodiscard]] std::size_t tag_count() const { return per_tag_.size(); }
-    [[nodiscard]] std::size_t faulted_count() const { return faulted_count_; }
 
     /// Shared-channel timeline (the persistent interferer).
     [[nodiscard]] const fault_schedule& shared() const { return shared_; }
@@ -78,7 +77,6 @@ public:
 
 private:
     multi_tag_config cfg_;
-    std::size_t faulted_count_;
     fault_schedule shared_;
     std::vector<fault_schedule> per_tag_;
     double last_end_s_ = 0.0;

@@ -54,8 +54,6 @@ public:
 
     [[nodiscard]] std::size_t tag_count() const { return sessions_.size(); }
     [[nodiscard]] const tag_session& session(std::uint32_t tag_id) const;
-    /// Rounds planned so far (the next plan_round() returns this index).
-    [[nodiscard]] std::size_t rounds_planned() const { return round_; }
     /// Sessions currently schedulable (ACTIVE or DEGRADED).
     [[nodiscard]] std::size_t healthy_count() const;
 

@@ -1,7 +1,7 @@
-// Per-tag session state machine for network-level supervision. Where
-// ap::link_supervisor watches one link's CRC stream, a tag_session tracks a
-// tag's health across TDMA rounds so the network supervisor can reallocate
-// airtime away from dead tags and probe them back in:
+// The one link-health state machine, with two parameter sets: per tag across
+// TDMA rounds under the network supervisor (airtime moves away from dead
+// tags, which are probed back in), and per attempt on one link's CRC stream
+// under ap::link_supervisor (see its link parameters there).
 //
 //   ACTIVE ----fail streak >= degraded_streak----> DEGRADED
 //   DEGRADED --delivery-------------------------> ACTIVE

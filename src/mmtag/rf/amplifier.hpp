@@ -22,9 +22,6 @@ public:
 
     lna(const config& cfg, std::uint64_t seed);
 
-    [[nodiscard]] double gain_db() const { return cfg_.gain_db; }
-    [[nodiscard]] double noise_figure_db() const { return cfg_.noise_figure_db; }
-
     /// Added-noise power at the *input* reference plane [W].
     [[nodiscard]] double input_referred_noise_power() const;
 

@@ -17,8 +17,6 @@ class awgn_source {
 public:
     awgn_source(double power_watt, std::uint64_t seed);
 
-    [[nodiscard]] double power() const { return power_; }
-
     /// Adds noise in place to a buffer.
     void add_to(std::span<cf64> buffer);
 

@@ -68,7 +68,6 @@ public:
     [[nodiscard]] bool is_array() const { return kind_ == kind::array; }
     [[nodiscard]] bool is_null() const { return kind_ == kind::null; }
     [[nodiscard]] bool is_string() const { return kind_ == kind::string; }
-    [[nodiscard]] bool is_boolean() const { return kind_ == kind::boolean; }
     /// Any numeric kind (double, signed, or unsigned integer).
     [[nodiscard]] bool is_number() const
     {

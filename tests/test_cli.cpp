@@ -356,12 +356,17 @@ TEST(commands, scale_and_soak_reject_bad_input_before_any_output)
 
 TEST(commands, zero_frames_is_rejected_before_any_output)
 {
-    // --frames 0 asks for no work: it must not print a banner or results,
-    // run a round, or calibrate (and cache) a phy table.
+    // --frames 0, --payload 0 and --tags 0 ask for no work: they must not
+    // print a banner or results, run a round, or calibrate (and cache) a
+    // phy table.
     const auto before = phy_tables();
     const std::vector<std::vector<const char*>> cases = {
         {"scale", "--tags", "20", "--aps", "1", "--frames", "0"},
         {"link", "--frames", "0"},
+        {"link", "--payload", "0"},
+        {"sweep", "--payload", "0"},
+        {"faults", "--payload", "0"},
+        {"inventory", "--tags", "0"},
     };
     for (const auto& args : cases) {
         std::vector<const char*> argv{"mmtag_sim"};

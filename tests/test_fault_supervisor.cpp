@@ -1,5 +1,6 @@
-// Fault schedule / injector semantics and the AP link supervisor state
-// machine, exercised through synthetic drivers (no RF) so they run fast.
+// Fault schedule / injector semantics and the AP link supervisor (a
+// net::tag_session with link parameters), exercised through synthetic
+// drivers (no RF) so they run fast.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -10,6 +11,7 @@
 #include "mmtag/ap/link_supervisor.hpp"
 #include "mmtag/core/multitag_simulator.hpp"
 #include "mmtag/fault/fault_injector.hpp"
+#include "mmtag/net/tag_session.hpp"
 #include "mmtag/obs/trace.hpp"
 #include "mmtag/phy/bitio.hpp"
 
@@ -63,12 +65,12 @@ struct scripted_link {
         d.transmit = [this](const ap::rate_option&) {
             const bool ok = up();
             now_s += data_airtime_s;
-            return ap::attempt_result{ok, ok ? 20.0 : -100.0, data_airtime_s};
+            return ap::attempt_result{ok, ok ? 20.0 : -100.0};
         };
         d.probe = [this](const ap::rate_option&) {
             const bool ok = up();
             now_s += probe_airtime_s;
-            return ap::attempt_result{ok, ok ? 20.0 : -100.0, probe_airtime_s};
+            return ap::attempt_result{ok, ok ? 20.0 : -100.0};
         };
         d.wait = [this](double wait_s) { now_s += wait_s; };
         d.reacquire = [this, &cfg] {
@@ -238,18 +240,18 @@ TEST(link_supervisor, declares_outage_after_streak_and_recovers)
 {
     const auto cfg = fast_supervisor();
     ap::link_supervisor supervisor(cfg, ap::rate_table().back());
-    EXPECT_EQ(supervisor.state(), ap::supervisor_state::nominal);
+    EXPECT_EQ(supervisor.state(), net::session_state::active);
 
     supervisor.record(false, -100.0, 1e-3);
-    EXPECT_EQ(supervisor.state(), ap::supervisor_state::alert);
+    EXPECT_EQ(supervisor.state(), net::session_state::degraded);
     supervisor.record(false, -100.0, 2e-3);
-    EXPECT_EQ(supervisor.state(), ap::supervisor_state::alert);
+    EXPECT_EQ(supervisor.state(), net::session_state::degraded);
     // Pre-outage attempts go out immediately at the current rate.
     EXPECT_DOUBLE_EQ(supervisor.next_attempt().wait_s, 0.0);
     EXPECT_FALSE(supervisor.next_attempt().probe);
 
     supervisor.record(false, -100.0, 3e-3);
-    EXPECT_EQ(supervisor.state(), ap::supervisor_state::outage);
+    EXPECT_EQ(supervisor.state(), net::session_state::quarantined);
     EXPECT_EQ(supervisor.metrics().outages, 1u);
     EXPECT_DOUBLE_EQ(supervisor.metrics().detect_total_s, 2e-3);
 
@@ -260,7 +262,7 @@ TEST(link_supervisor, declares_outage_after_streak_and_recovers)
     EXPECT_DOUBLE_EQ(plan.wait_s, cfg.arq.initial_backoff_s);
 
     supervisor.record(true, 25.0, 4e-3, /*was_probe=*/true);
-    EXPECT_EQ(supervisor.state(), ap::supervisor_state::nominal);
+    EXPECT_EQ(supervisor.state(), net::session_state::active);
     EXPECT_EQ(supervisor.metrics().recoveries, 1u);
     EXPECT_DOUBLE_EQ(supervisor.metrics().recover_total_s, 1e-3);
     EXPECT_EQ(supervisor.metrics().probes, 1u);
@@ -305,10 +307,65 @@ TEST(link_supervisor, watchdog_requests_reacquisition_after_probe_budget)
     EXPECT_EQ(supervisor.metrics().reacquisitions, 1u);
 }
 
+TEST(link_supervisor, session_log_is_legal_through_an_outage)
+{
+    // One outage, ended by one watchdog reacquisition: the link loses lock
+    // at 1 ms and stays down until acquisition re-runs. Driven attempt by
+    // attempt as run_supervised does, so the supervisor's session is in view.
+    const auto cfg = fast_supervisor();
+    scripted_link link;
+    link.lock_lost_at_s = 1e-3;
+    const auto driver = link.driver(cfg);
+    ap::link_supervisor supervisor(cfg, ap::rate_table().back());
+    for (std::size_t attempt = 0; attempt < 40; ++attempt) {
+        const auto plan = supervisor.next_attempt();
+        if (plan.reacquire) {
+            driver.reacquire();
+            supervisor.note_reacquisition(driver.now());
+        }
+        if (plan.wait_s > 0.0) driver.wait(plan.wait_s);
+        const auto result = plan.probe ? driver.probe(plan.rate) : driver.transmit(plan.rate);
+        supervisor.record(result.delivered, result.snr_db, driver.now(), plan.probe);
+    }
+    ASSERT_EQ(supervisor.metrics().outages, 1u);
+    ASSERT_EQ(supervisor.metrics().reacquisitions, 1u);
+    ASSERT_EQ(supervisor.metrics().recoveries, 1u);
+    EXPECT_EQ(supervisor.state(), net::session_state::active);
+
+    // active -> degraded -> quarantined -> (probing -> quarantined)* ->
+    // probing -> active, every edge legal and rounds non-decreasing.
+    const auto& log = supervisor.session().transitions();
+    ASSERT_GE(log.size(), 4u);
+    ASSERT_EQ(log.size() % 2, 0u);
+    for (std::size_t i = 0; i < log.size(); ++i) {
+        EXPECT_TRUE(net::legal_transition(log[i].from, log[i].to)) << "edge " << i;
+        if (i > 0) {
+            EXPECT_EQ(log[i].from, log[i - 1].to) << "edge " << i;
+            EXPECT_GE(log[i].round, log[i - 1].round) << "edge " << i;
+        }
+    }
+    EXPECT_EQ(log.front().from, net::session_state::active);
+    EXPECT_EQ(log.front().to, net::session_state::degraded);
+    EXPECT_EQ(log[1].to, net::session_state::quarantined);
+    for (std::size_t i = 2; i + 2 < log.size(); i += 2) {
+        EXPECT_EQ(log[i].to, net::session_state::probing) << "edge " << i;
+        EXPECT_EQ(log[i + 1].to, net::session_state::quarantined) << "edge " << i + 1;
+    }
+    EXPECT_EQ(log[log.size() - 2].to, net::session_state::probing);
+    EXPECT_EQ(log.back().to, net::session_state::active);
+    // The watchdog budget of failed probes ran out before the reacquisition.
+    EXPECT_GE((log.size() - 4) / 2, cfg.watchdog_probes);
+}
+
 TEST(link_supervisor, invalid_configs_throw)
 {
     auto cfg = fast_supervisor();
     cfg.outage_streak = 0;
+    EXPECT_THROW((ap::link_supervisor{cfg, ap::rate_table().back()}),
+                 std::invalid_argument);
+    // A session degrades before it quarantines, so an outage takes at least
+    // two consecutive failures.
+    cfg.outage_streak = 1;
     EXPECT_THROW((ap::link_supervisor{cfg, ap::rate_table().back()}),
                  std::invalid_argument);
     cfg = fast_supervisor();
@@ -396,15 +453,10 @@ TEST(run_supervised, beats_plain_arq_on_an_outage_prone_link)
                                         supervised.driver(cfg), 80, 192.0);
     EXPECT_GT(supervised.reacquisitions, 0u);
 
-    ap::supervisor_config off = cfg;
-    off.outage_streak = static_cast<std::size_t>(-1);
-    off.arq.max_retries = 8;
-    off.arq.initial_backoff_s = 0.0;
-    off.rate_fallback = false;
     scripted_link plain;
     plain.lock_lost_at_s = 1e-3;
     const auto base =
-        ap::run_supervised(off, ap::rate_table().back(), plain.driver(off), 80, 192.0);
+        ap::run_plain_arq(8, ap::rate_table().back(), plain.driver(cfg), 80, 192.0);
     EXPECT_EQ(plain.reacquisitions, 0u);
 
     EXPECT_GT(sup.goodput_bps, base.goodput_bps);
