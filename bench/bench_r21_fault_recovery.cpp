@@ -55,13 +55,13 @@ constexpr fault_cell kCells[] = {{0.0, 2e-3}, {150.0, 1e-3}, {150.0, 3e-3},
 
 int main(int argc, char** argv)
 {
-    const auto opts = bench::bench_options::parse(argc, argv);
+    const auto opts = bench::bench_options::parse(argc, argv, {{"fault-seed", 42}});
     bench::banner("R21", "goodput and recovery under injected faults, supervisor on/off",
                   opts.csv);
 
     constexpr std::size_t frames = 500;
     constexpr std::size_t payload_bytes = 24;
-    const std::uint64_t fault_seed = opts.extra_u64("fault-seed", 42);
+    const std::uint64_t fault_seed = opts.extra("fault-seed");
 
     const ap::supervisor_config sup_cfg{};
     constexpr std::size_t baseline_retries = 8;

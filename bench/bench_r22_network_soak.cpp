@@ -27,15 +27,16 @@ using namespace mmtag;
 
 int main(int argc, char** argv)
 {
-    const auto opts = bench::bench_options::parse(argc, argv);
+    const auto opts = bench::bench_options::parse(
+        argc, argv, {{"rounds", 36}, {"trials", 1}, {"fault-seed", 42}});
     bench::banner("R22", "network chaos soak: degradation and re-admission vs faulted tags",
                   opts.csv);
 
     constexpr std::size_t tag_count = 6;
     constexpr std::size_t max_faulted = 3;
-    const std::size_t rounds = opts.extra_u64("rounds", 36);
-    const std::size_t trials = opts.extra_u64("trials", 1);
-    const std::uint64_t fault_seed = opts.extra_u64("fault-seed", 42);
+    const std::size_t rounds = opts.extra("rounds");
+    const std::size_t trials = opts.extra("trials");
+    const std::uint64_t fault_seed = opts.extra("fault-seed");
 
     std::vector<net::soak_report> reports;
     const auto start = std::chrono::steady_clock::now();

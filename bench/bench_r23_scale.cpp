@@ -24,15 +24,16 @@ using namespace mmtag;
 
 int main(int argc, char** argv)
 {
-    const auto opts = bench::bench_options::parse(argc, argv);
+    const auto opts = bench::bench_options::parse(
+        argc, argv, {{"aps", 4}, {"frames", 30}, {"trials", 1}, {"fault-seed", 42}});
     bench::banner("R23", "scale-out: goodput, fairness, re-admission vs tag count",
                   opts.csv);
 
     const std::vector<std::size_t> tag_counts{100, 300, 1000, 3000, 10000};
-    const std::size_t aps = opts.extra_u64("aps", 4);
-    const std::size_t frames = opts.extra_u64("frames", 30);
-    const std::size_t trials = opts.extra_u64("trials", 1);
-    const std::uint64_t fault_seed = opts.extra_u64("fault-seed", 42);
+    const std::size_t aps = opts.extra("aps");
+    const std::size_t frames = opts.extra("frames");
+    const std::size_t trials = opts.extra("trials");
+    const std::uint64_t fault_seed = opts.extra("fault-seed");
 
     std::vector<scale::scale_result> results_per_point;
     const auto start = std::chrono::steady_clock::now();

@@ -1,110 +1,64 @@
-// Shared plumbing for the experiment harnesses: the common flag parser
+// Shared plumbing for the experiment harnesses: the common flags
 // (--csv/--json/--jobs/--seed), aligned-table/CSV printing, and the standard
 // bench scenario (a faster-sampling variant of the default system so sweeps
 // finish in seconds).
 #pragma once
 
-#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <map>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "mmtag/cli/options.hpp"
 #include "mmtag/core/config.hpp"
 
 namespace mmtag::bench {
 
-/// The flags every experiment binary accepts. Bench-specific extras
-/// (`--fault-seed`, ...) are collected in `extra` for the bench to consume.
+/// The flags every experiment binary accepts, read through
+/// cli::option_set, plus the integer extras a bench declares.
 struct bench_options {
     bool csv = false;        ///< machine-readable table on stdout
     std::string json_path;   ///< --json PATH; empty = bench/out/BENCH_<id>.json
     std::size_t jobs = 0;    ///< --jobs N parallel executors; 0 = auto
     std::uint64_t seed = 1;  ///< --seed S: base of the per-trial seeding scheme
-    std::map<std::string, std::string> extra;
 
-    /// Strict non-negative integer: strtoull would wrap "--jobs -1" to
-    /// 2^64-1 and truncate "1e3" to 1, silently running the wrong bench —
-    /// reject anything that is not purely digits, plus overflow.
-    [[nodiscard]] static std::uint64_t parse_u64_or_die(const std::string& text,
-                                                        const char* key)
+    /// Parses argv. `extras` maps the bench's own integer flags
+    /// (`--fault-seed`, ...) to their defaults. A malformed value, a stray
+    /// argument or a flag the bench does not read prints one error line and
+    /// exits(2) before the bench prints anything.
+    static bench_options parse(int argc, char** argv,
+                               std::map<std::string, std::uint64_t> extras = {})
     {
-        if (!text.empty() && text.find_first_not_of("0123456789") == std::string::npos) {
-            errno = 0;
-            char* end = nullptr;
-            const unsigned long long value = std::strtoull(text.c_str(), &end, 10);
-            if (errno == 0 && end != nullptr && *end == '\0') return value;
-        }
-        std::fprintf(stderr, "error: %s expects a non-negative integer, got '%s'\n",
-                     key, text.c_str());
-        std::exit(2);
-    }
-
-    /// Strict double: the whole token must parse ("3.x" and "" are errors).
-    [[nodiscard]] static double parse_double_or_die(const std::string& text,
-                                                    const char* key)
-    {
-        if (!text.empty()) {
-            char* end = nullptr;
-            const double value = std::strtod(text.c_str(), &end);
-            if (end != nullptr && *end == '\0') return value;
-        }
-        std::fprintf(stderr, "error: %s expects a number, got '%s'\n", key,
-                     text.c_str());
-        std::exit(2);
-    }
-
-    /// Parses argv; prints a message and exits(2) on malformed input so
-    /// bench mains stay one-liners.
-    static bench_options parse(int argc, char** argv)
-    {
-        bench_options opts;
-        auto value_of = [&](int& i, const char* key) -> std::string {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "error: %s needs a value\n", key);
-                std::exit(2);
+        try {
+            const auto flags = cli::option_set::parse_flags(argc, argv);
+            bench_options opts;
+            opts.csv = flags.get_flag("csv");
+            opts.json_path = flags.get_value("json", "");
+            opts.jobs = static_cast<std::size_t>(flags.get_uint("jobs", 0));
+            opts.seed = flags.get_uint("seed", 1);
+            for (auto& [key, value] : extras) value = flags.get_uint(key, value);
+            const auto leftover = flags.unconsumed();
+            if (!leftover.empty()) {
+                throw std::invalid_argument("unknown option --" + leftover.front());
             }
-            return argv[++i];
-        };
-        for (int i = 1; i < argc; ++i) {
-            const std::string arg = argv[i];
-            if (arg == "--csv") {
-                opts.csv = true;
-            } else if (arg == "--json") {
-                opts.json_path = value_of(i, "--json");
-            } else if (arg == "--jobs") {
-                opts.jobs = static_cast<std::size_t>(
-                    parse_u64_or_die(value_of(i, "--jobs"), "--jobs"));
-            } else if (arg == "--seed") {
-                opts.seed = parse_u64_or_die(value_of(i, "--seed"), "--seed");
-            } else if (arg.rfind("--", 0) == 0 && arg.size() > 2) {
-                // Bench-specific: `--key value` (value may be omitted for flags).
-                const bool has_value = i + 1 < argc &&
-                                       std::string(argv[i + 1]).rfind("--", 0) != 0;
-                opts.extra[arg.substr(2)] = has_value ? argv[++i] : "";
-            } else {
-                std::fprintf(stderr, "error: unexpected argument '%s'\n", arg.c_str());
-                std::exit(2);
-            }
+            opts.extras_ = std::move(extras);
+            return opts;
+        } catch (const std::invalid_argument& error) {
+            std::fprintf(stderr, "error: %s\n", error.what());
+            std::exit(2);
         }
-        return opts;
     }
 
-    [[nodiscard]] std::uint64_t extra_u64(const std::string& key,
-                                          std::uint64_t fallback) const
+    /// The value of an extra declared to parse().
+    [[nodiscard]] std::uint64_t extra(const std::string& key) const
     {
-        const auto it = extra.find(key);
-        if (it == extra.end()) return fallback;
-        return parse_u64_or_die(it->second, ("--" + key).c_str());
+        return extras_.at(key);
     }
 
-    [[nodiscard]] double extra_double(const std::string& key, double fallback) const
-    {
-        const auto it = extra.find(key);
-        if (it == extra.end()) return fallback;
-        return parse_double_or_die(it->second, ("--" + key).c_str());
-    }
+private:
+    std::map<std::string, std::uint64_t> extras_;
 };
 
 /// Simple column-aligned table with an optional CSV mode.

@@ -1,22 +1,32 @@
 #include "mmtag/cli/options.hpp"
 
+#include <cmath>
 #include <stdexcept>
 
 namespace mmtag::cli {
 
 option_set option_set::parse(int argc, const char* const* argv)
 {
-    option_set out;
     if (argc < 2) throw std::invalid_argument("missing subcommand");
-    out.command_ = argv[1];
-    if (out.command_.empty() || out.command_[0] == '-') {
+    const std::string command = argv[1];
+    if (command.empty() || command[0] == '-') {
         throw std::invalid_argument("first argument must be a subcommand, got '" +
-                                    out.command_ + "'");
+                                    command + "'");
     }
-    for (int i = 2; i < argc; ++i) {
+    // The subcommand stands where parse_flags expects the program name.
+    option_set out = parse_flags(argc - 1, argv + 1);
+    out.command_ = command;
+    return out;
+}
+
+option_set option_set::parse_flags(int argc, const char* const* argv)
+{
+    option_set out;
+    for (int i = 1; i < argc; ++i) {
         std::string token = argv[i];
         if (token.rfind("--", 0) != 0 || token.size() <= 2) {
-            throw std::invalid_argument("expected --key, got '" + token + "'");
+            throw std::invalid_argument("unexpected argument '" + token +
+                                        "' (expected --key)");
         }
         token.erase(0, 2);
         std::string value;
@@ -50,12 +60,12 @@ double option_set::get_double(const std::string& key, double fallback) const
     try {
         std::size_t used = 0;
         const double value = std::stod(it->second, &used);
-        if (used != it->second.size()) throw std::invalid_argument("trailing junk");
-        return value;
+        if (used == it->second.size() && std::isfinite(value)) return value;
     } catch (const std::exception&) {
-        throw std::invalid_argument("--" + key + " expects a number, got '" + it->second +
-                                    "'");
+        // unparseable or out of range: fall through to the uniform message
     }
+    throw std::invalid_argument("--" + key + " expects a finite number, got '" +
+                                it->second + "'");
 }
 
 std::uint64_t option_set::get_uint(const std::string& key, std::uint64_t fallback) const
@@ -87,6 +97,22 @@ std::string option_set::get_string(const std::string& key, const std::string& fa
     if (it == values_.end()) return fallback;
     consumed_[key] = true;
     return it->second;
+}
+
+std::string option_set::get_value(const std::string& key, const std::string& fallback) const
+{
+    const std::string value = get_string(key, fallback);
+    if (has(key) && value == "true") throw std::invalid_argument("--" + key + " needs a value");
+    return value;
+}
+
+bool option_set::get_flag(const std::string& key) const
+{
+    if (!has(key)) return false;
+    if (get_string(key, "") != "true") {
+        throw std::invalid_argument("--" + key + " takes no value");
+    }
+    return true;
 }
 
 std::vector<std::string> option_set::unconsumed() const

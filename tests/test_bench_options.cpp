@@ -1,8 +1,13 @@
 // bench_util flag parsing: the strict numeric contract. strtoull would
-// happily wrap "--jobs -1" to 2^64-1 and truncate "--seed 1e3" to 1; the
-// parser must instead print one error line and exit(2).
+// happily wrap "--jobs -1" to 2^64-1 and truncate "--seed 1e3" to 1, and a
+// misspelt flag would silently run the default bench; the parser must
+// instead print one error line and exit(2).
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <cstdio>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -11,29 +16,36 @@
 namespace mmtag::bench {
 namespace {
 
-/// Runs bench_options::parse over a brace-list of flags (argv[0] included).
-bench_options parse_flags(std::vector<std::string> flags)
+/// Runs bench_options::parse over a brace-list of flags (argv[0] added),
+/// with `extras` as the bench's declared integer flags.
+bench_options parse_flags(std::vector<std::string> flags,
+                          std::map<std::string, std::uint64_t> extras = {})
 {
     flags.insert(flags.begin(), "bench_test");
     std::vector<char*> argv;
     argv.reserve(flags.size());
     for (auto& flag : flags) argv.push_back(flag.data());
-    return bench_options::parse(static_cast<int>(argv.size()), argv.data());
+    return bench_options::parse(static_cast<int>(argv.size()), argv.data(),
+                                std::move(extras));
 }
 
 TEST(bench_options, parses_well_formed_flags)
 {
-    const auto opts = parse_flags(
-        {"--csv", "--jobs", "4", "--seed", "99", "--json", "out.json",
-         "--trials", "250", "--snr-db", "-2.5", "--verbose"});
+    const auto opts = parse_flags({"--csv", "--jobs", "4", "--seed", "99", "--json",
+                                   "out.json", "--trials", "250"},
+                                  {{"trials", 1}, {"absent", 7}});
     EXPECT_TRUE(opts.csv);
     EXPECT_EQ(opts.jobs, 4u);
     EXPECT_EQ(opts.seed, 99u);
     EXPECT_EQ(opts.json_path, "out.json");
-    EXPECT_EQ(opts.extra_u64("trials", 1), 250u);
-    EXPECT_DOUBLE_EQ(opts.extra_double("snr-db", 0.0), -2.5);
-    EXPECT_EQ(opts.extra.at("verbose"), "");
-    EXPECT_EQ(opts.extra_u64("absent", 7), 7u);
+    EXPECT_EQ(opts.extra("trials"), 250u);
+    EXPECT_EQ(opts.extra("absent"), 7u);
+
+    const auto defaults = parse_flags({});
+    EXPECT_FALSE(defaults.csv);
+    EXPECT_EQ(defaults.jobs, 0u);
+    EXPECT_EQ(defaults.seed, 1u);
+    EXPECT_EQ(defaults.json_path, "");
 }
 
 TEST(bench_options_death, negative_jobs_exits_with_code_2)
@@ -50,9 +62,8 @@ TEST(bench_options_death, scientific_notation_seed_exits)
 
 TEST(bench_options_death, trailing_junk_in_extra_u64_exits)
 {
-    const auto opts = parse_flags({"--trials", "12x"});
-    EXPECT_EXIT((void)opts.extra_u64("trials", 1), testing::ExitedWithCode(2),
-                "--trials expects a non-negative integer");
+    EXPECT_EXIT(parse_flags({"--trials", "12x"}, {{"trials", 1}}),
+                testing::ExitedWithCode(2), "--trials expects a non-negative integer");
 }
 
 TEST(bench_options_death, overflowing_u64_exits)
@@ -62,11 +73,21 @@ TEST(bench_options_death, overflowing_u64_exits)
                 "--seed expects a non-negative integer");
 }
 
-TEST(bench_options_death, partial_double_in_extra_exits)
+TEST(bench_options_death, unknown_flag_exits_before_any_output)
 {
-    const auto opts = parse_flags({"--snr-db", "3.x"});
-    EXPECT_EXIT((void)opts.extra_double("snr-db", 0.0), testing::ExitedWithCode(2),
-                "--snr-db expects a number");
+    // bench_r09 reads no extras: `--jbos 4` is a typo, not a setting. Stdout
+    // is folded into stderr so the anchored pattern also proves nothing
+    // reached stdout.
+    EXPECT_EXIT(
+        {
+            dup2(fileno(stderr), fileno(stdout));
+            (void)parse_flags({"--csv", "--jbos", "4"});
+        },
+        testing::ExitedWithCode(2), "^error: unknown option --jbos\n$");
+    EXPECT_EXIT((void)parse_flags({"--trials", "3"}, {{"aps", 4}}),
+                testing::ExitedWithCode(2), "unknown option --trials");
+    EXPECT_EXIT((void)parse_flags({"--csv", "yes"}), testing::ExitedWithCode(2),
+                "--csv takes no value");
 }
 
 TEST(bench_options_death, missing_value_exits)

@@ -66,6 +66,14 @@ TEST(options, rejects_bad_numbers)
     const auto opts = parse({"link", "--distance", "abc", "--frames", "2.5"});
     EXPECT_THROW((void)opts.get_double("distance", 0.0), std::invalid_argument);
     EXPECT_THROW((void)opts.get_uint("frames", 0), std::invalid_argument);
+
+    // Non-finite values parse with stod but are never a valid setting.
+    const auto non_finite = parse({"link", "--a=nan", "--b=inf", "--c=-inf", "--d=1e999",
+                                   "--e=3.x", "--f=", "--g=-2.5e-3"});
+    for (const char* key : {"a", "b", "c", "d", "e", "f"}) {
+        EXPECT_THROW((void)non_finite.get_double(key, 0.0), std::invalid_argument) << key;
+    }
+    EXPECT_DOUBLE_EQ(non_finite.get_double("g", 0.0), -2.5e-3);
 }
 
 TEST(options, tracks_unconsumed_keys)
@@ -326,12 +334,30 @@ std::set<std::string> phy_tables()
     return names;
 }
 
+/// Runs each command line and expects exit 1 with nothing on stdout and no
+/// phy table calibrated (and cached) along the way.
+void expect_rejected_before_any_output(const std::vector<std::vector<const char*>>& cases)
+{
+    const auto before = phy_tables();
+    for (const auto& args : cases) {
+        std::vector<const char*> argv{"mmtag_sim"};
+        argv.insert(argv.end(), args.begin(), args.end());
+        std::string line;
+        for (const char* arg : args) line += std::string(arg) + " ";
+        ::testing::internal::CaptureStdout();
+        const int code = dispatch(static_cast<int>(argv.size()), argv.data());
+        const std::string out = ::testing::internal::GetCapturedStdout();
+        EXPECT_EQ(code, 1) << line;
+        EXPECT_EQ(out, "") << line;
+    }
+    EXPECT_EQ(phy_tables(), before);
+}
+
 TEST(commands, scale_and_soak_reject_bad_input_before_any_output)
 {
     // Out-of-range input must fail with exit 1 before the banner prints and
     // before the scale command calibrates (and caches) a phy table.
-    const auto before = phy_tables();
-    const std::vector<std::vector<const char*>> cases = {
+    expect_rejected_before_any_output({
         {"scale", "--tags", "10", "--faulted", "50"},
         {"scale", "--tags", "10", "--payload", "0"},
         {"scale", "--tags", "0"},
@@ -341,43 +367,105 @@ TEST(commands, scale_and_soak_reject_bad_input_before_any_output)
         {"soak", "--tags", "4", "--faulted", "1", "--payload", "0"},
         {"soak", "--tags", "0", "--faulted", "0"},
         {"soak", "--tags", "4", "--faulted", "1", "--trials", "0"},
-    };
-    for (const auto& args : cases) {
-        std::vector<const char*> argv{"mmtag_sim"};
-        argv.insert(argv.end(), args.begin(), args.end());
-        ::testing::internal::CaptureStdout();
-        const int code = dispatch(static_cast<int>(argv.size()), argv.data());
-        const std::string out = ::testing::internal::GetCapturedStdout();
-        EXPECT_EQ(code, 1) << args[0] << " " << args[1] << " " << args[2];
-        EXPECT_EQ(out, "") << args[0];
-    }
-    EXPECT_EQ(phy_tables(), before);
+    });
 }
 
 TEST(commands, zero_frames_is_rejected_before_any_output)
 {
-    // --frames 0, --payload 0 and --tags 0 ask for no work: they must not
-    // print a banner or results, run a round, or calibrate (and cache) a
-    // phy table.
-    const auto before = phy_tables();
-    const std::vector<std::vector<const char*>> cases = {
+    // --frames 0, --payload 0 and --tags 0 ask for no work, and a config
+    // the run would reject (a sweep point or fault link at distance <= 0, an
+    // empty or reversed budget sweep, an array with no elements) must be
+    // caught by the parse step: no banner, no results, no round run, no phy
+    // table calibrated.
+    expect_rejected_before_any_output({
         {"scale", "--tags", "20", "--aps", "1", "--frames", "0"},
         {"link", "--frames", "0"},
         {"link", "--payload", "0"},
         {"sweep", "--payload", "0"},
         {"faults", "--payload", "0"},
         {"inventory", "--tags", "0"},
+        {"faults", "--distance", "0"},
+        {"sweep", "--start", "-1", "--stop", "0", "--points", "2"},
+        {"budget", "--points", "0"},
+        {"budget", "--elements", "0"},
+        {"budget", "--start", "5", "--stop", "1"},
+    });
+}
+
+TEST(commands, rejects_unbounded_numbers_before_any_output)
+{
+    // Non-finite values and the faults caps (--fault-rate <= 10000 events/s,
+    // --mean-duration <= the 120 ms schedule horizon); path options given
+    // bare. The over-cap values stay small enough to run if a check broke.
+    expect_rejected_before_any_output({
+        {"link", "--distance", "nan"},
+        {"link", "--distance", "inf"},
+        {"faults", "--fault-rate", "nan"},
+        {"faults", "--fault-rate", "20000", "--frames", "2"},
+        {"faults", "--mean-duration", "1e308", "--frames", "2"},
+        {"faults", "--mean-duration", "121", "--frames", "2"},
+        {"soak", "--min-range", "nan"},
+        {"soak", "--tags", "4", "--faulted", "1", "--json"},
+        {"sweep", "--points", "1", "--frames", "1", "--trace"},
+    });
+}
+
+TEST(commands, observability_files_are_valid_json)
+{
+    // Every Monte-Carlo command writes --metrics=FILE and --trace=FILE (and
+    // --json where it has one) through the same harness. Runs in a temporary
+    // working directory so scale's phy table cache stays out of bench/out.
+    namespace fs = std::filesystem;
+    const auto dir = fs::temp_directory_path() / "mmtag_cli_obs_files";
+    fs::create_directories(dir);
+    const auto cwd = fs::current_path();
+    fs::current_path(dir);
+    struct obs_case {
+        std::vector<const char*> args;
+        bool json;
+        const char* metric; ///< a counter the snapshot must hold
     };
-    for (const auto& args : cases) {
+    const std::vector<obs_case> cases = {
+        {{"faults", "--frames", "20", "--jobs", "2"}, false, "link/frames"},
+        {{"soak", "--tags", "4", "--faulted", "1", "--trials", "1", "--jobs", "2"}, true,
+         "net/rounds"},
+        {{"scale", "--tags", "20", "--aps", "1", "--frames", "5", "--jobs", "0"}, true,
+         "scale/"},
+        {{"sweep", "--points", "2", "--trials", "1", "--frames", "1", "--jobs", "2"}, true,
+         "link/frames"},
+    };
+    auto read_file = [](const fs::path& path) {
+        std::ifstream in(path);
+        std::stringstream buffer;
+        buffer << in.rdbuf();
+        return buffer.str();
+    };
+    for (const auto& test : cases) {
+        const std::string name = test.args.front();
+        const std::string metrics_arg = "--metrics=" + (dir / (name + "_m.json")).string();
+        const std::string trace_arg = "--trace=" + (dir / (name + "_t.json")).string();
+        const std::string json_arg = "--json=" + (dir / (name + "_r.json")).string();
         std::vector<const char*> argv{"mmtag_sim"};
-        argv.insert(argv.end(), args.begin(), args.end());
-        ::testing::internal::CaptureStdout();
+        argv.insert(argv.end(), test.args.begin(), test.args.end());
+        argv.push_back(metrics_arg.c_str());
+        argv.push_back(trace_arg.c_str());
+        if (test.json) argv.push_back(json_arg.c_str());
         const int code = dispatch(static_cast<int>(argv.size()), argv.data());
-        const std::string out = ::testing::internal::GetCapturedStdout();
-        EXPECT_EQ(code, 1) << args[0];
-        EXPECT_EQ(out, "") << args[0];
+        EXPECT_NE(code, 1) << name;
+
+        const auto metrics_text = read_file(dir / (name + "_m.json"));
+        EXPECT_TRUE(testutil::json_checker(metrics_text).valid()) << name << metrics_text;
+        EXPECT_NE(metrics_text.find(test.metric), std::string::npos) << name;
+        const auto trace_text = read_file(dir / (name + "_t.json"));
+        EXPECT_TRUE(testutil::json_checker(trace_text).valid()) << name;
+        EXPECT_NE(trace_text.find("traceEvents"), std::string::npos) << name;
+        if (test.json) {
+            const auto result_text = read_file(dir / (name + "_r.json"));
+            EXPECT_TRUE(testutil::json_checker(result_text).valid()) << name;
+        }
     }
-    EXPECT_EQ(phy_tables(), before);
+    fs::current_path(cwd);
+    fs::remove_all(dir);
 }
 
 TEST(commands, link_plate_at_angle_fails_gracefully)
