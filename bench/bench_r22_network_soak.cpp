@@ -29,28 +29,29 @@ int main(int argc, char** argv)
 {
     const auto opts = bench::bench_options::parse(
         argc, argv, {{"rounds", 36}, {"trials", 1}, {"fault-seed", 42}});
-    bench::banner("R22", "network chaos soak: degradation and re-admission vs faulted tags",
-                  opts.csv);
 
     constexpr std::size_t tag_count = 6;
     constexpr std::size_t max_faulted = 3;
-    const std::size_t rounds = opts.extra("rounds");
     const std::size_t trials = opts.extra("trials");
-    const std::uint64_t fault_seed = opts.extra("fault-seed");
-
-    std::vector<net::soak_report> reports;
-    const auto start = std::chrono::steady_clock::now();
-    runtime::thread_pool pool(opts.jobs);
+    std::vector<net::soak_config> configs;
     for (std::size_t faulted = 0; faulted <= max_faulted; ++faulted) {
         net::soak_config cfg;
         cfg.tag_count = tag_count;
         cfg.faulted_count = faulted;
-        cfg.rounds = rounds;
+        cfg.rounds = opts.extra("rounds");
         cfg.trials = trials;
         cfg.seed = opts.seed;
-        cfg.fault_seed = fault_seed;
-        reports.push_back(net::run_soak(cfg, pool));
+        cfg.fault_seed = opts.extra("fault-seed");
+        bench::validate_or_exit([&] { net::validate(cfg); });
+        configs.push_back(cfg);
     }
+    bench::banner("R22", "network chaos soak: degradation and re-admission vs faulted tags",
+                  opts.csv);
+
+    std::vector<net::soak_report> reports;
+    const auto start = std::chrono::steady_clock::now();
+    runtime::thread_pool pool(opts.jobs);
+    for (const auto& cfg : configs) reports.push_back(net::run_soak(cfg, pool));
     const double wall_s =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
 

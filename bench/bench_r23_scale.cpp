@@ -26,27 +26,29 @@ int main(int argc, char** argv)
 {
     const auto opts = bench::bench_options::parse(
         argc, argv, {{"aps", 4}, {"frames", 30}, {"trials", 1}, {"fault-seed", 42}});
-    bench::banner("R23", "scale-out: goodput, fairness, re-admission vs tag count",
-                  opts.csv);
 
     const std::vector<std::size_t> tag_counts{100, 300, 1000, 3000, 10000};
-    const std::size_t aps = opts.extra("aps");
-    const std::size_t frames = opts.extra("frames");
     const std::size_t trials = opts.extra("trials");
-    const std::uint64_t fault_seed = opts.extra("fault-seed");
+    std::vector<scale::scale_config> configs;
+    for (const std::size_t tags : tag_counts) {
+        scale::scale_config cfg;
+        cfg.topology.tag_count = tags;
+        cfg.topology.ap_count = opts.extra("aps");
+        cfg.frames = opts.extra("frames");
+        cfg.trials = trials;
+        cfg.faulted = tags / 10;
+        cfg.seed = opts.seed;
+        cfg.fault_seed = opts.extra("fault-seed");
+        bench::validate_or_exit([&] { scale::validate(cfg); });
+        configs.push_back(cfg);
+    }
+    bench::banner("R23", "scale-out: goodput, fairness, re-admission vs tag count",
+                  opts.csv);
 
     std::vector<scale::scale_result> results_per_point;
     const auto start = std::chrono::steady_clock::now();
     std::size_t jobs_used = 1;
-    for (const std::size_t tags : tag_counts) {
-        scale::scale_config cfg;
-        cfg.topology.tag_count = tags;
-        cfg.topology.ap_count = aps;
-        cfg.frames = frames;
-        cfg.trials = trials;
-        cfg.faulted = tags / 10;
-        cfg.seed = opts.seed;
-        cfg.fault_seed = fault_seed;
+    for (const auto& cfg : configs) {
         auto result = scale::run_scale(cfg, opts.jobs);
         jobs_used = result.jobs;
         results_per_point.push_back(std::move(result));

@@ -135,6 +135,21 @@ inline core::system_config bench_scenario()
     return core::fast_scenario();
 }
 
+/// Runs `check` — a library validator such as net::validate or
+/// scale::validate over a config the bench built from its flags. A rejected
+/// config prints one error line and exits(2) before the bench prints
+/// anything, like a malformed flag.
+template <typename Check>
+void validate_or_exit(Check&& check)
+{
+    try {
+        check();
+    } catch (const std::invalid_argument& error) {
+        std::fprintf(stderr, "error: %s\n", error.what());
+        std::exit(2);
+    }
+}
+
 inline void banner(const char* id, const char* title, bool csv)
 {
     if (csv) return;

@@ -9,6 +9,38 @@
 
 namespace mmtag::channel {
 
+backscatter_channel::tag_path::tag_path(const config& cfg)
+    : frequency_hz_(cfg.frequency_hz),
+      tx_gain_(from_db(cfg.ap_tx_gain_dbi)),
+      rx_gain_(from_db(cfg.ap_rx_gain_dbi)),
+      backscatter_gain_(from_db(cfg.tag_backscatter_gain_db)),
+      aperture_gain_(from_db(cfg.tag_aperture_gain_db)),
+      atmospheric_db_per_km_(
+          atmospheric_loss_db(1000.0, cfg.frequency_hz, cfg.rain_rate_mm_per_hr)),
+      implementation_(std::pow(10.0, -cfg.implementation_loss_db / 20.0))
+{
+    if (cfg.implementation_loss_db < 0.0) {
+        throw std::invalid_argument("backscatter_channel: negative implementation loss");
+    }
+}
+
+backscatter_channel::tag_path::amplitudes
+backscatter_channel::tag_path::at(double distance_m) const
+{
+    if (distance_m <= 0.0) throw std::invalid_argument("backscatter_channel: distance <= 0");
+    // atmospheric_loss_db(d, f, rain) is d [km] times the loss over one km.
+    const double atmospheric = from_db(-(distance_m / 1000.0 * atmospheric_db_per_km_));
+    const double round_trip_power = backscatter_received_power(
+        1.0, tx_gain_, rx_gain_, backscatter_gain_, distance_m, frequency_hz_);
+    const double one_way_power =
+        one_way_received_power(1.0, tx_gain_, aperture_gain_, distance_m, frequency_hz_);
+    amplitudes out;
+    // Two-way gaseous loss; implementation loss budgeted once on the tag path.
+    out.round_trip = std::sqrt(round_trip_power) * atmospheric * implementation_;
+    out.one_way = std::sqrt(one_way_power * atmospheric) * std::sqrt(implementation_);
+    return out;
+}
+
 backscatter_channel::backscatter_channel(const config& cfg) : cfg_(cfg)
 {
     if (cfg.sample_rate_hz <= 0.0) throw std::invalid_argument("backscatter_channel: fs <= 0");
@@ -18,31 +50,16 @@ backscatter_channel::backscatter_channel(const config& cfg) : cfg_(cfg)
     one_way_delay_ = static_cast<std::size_t>(std::round(one_way_seconds * cfg.sample_rate_hz));
     round_trip_delay_ = 2 * one_way_delay_;
 
-    const double tx_gain = from_db(cfg.ap_tx_gain_dbi);
-    const double rx_gain = from_db(cfg.ap_rx_gain_dbi);
-    const double backscatter_gain = from_db(cfg.tag_backscatter_gain_db);
-    const double aperture_gain = from_db(cfg.tag_aperture_gain_db);
-    const double atmospheric = from_db(
-        -atmospheric_loss_db(cfg.distance_m, cfg.frequency_hz, cfg.rain_rate_mm_per_hr));
-
-    if (cfg.implementation_loss_db < 0.0) {
-        throw std::invalid_argument("backscatter_channel: negative implementation loss");
-    }
-    const double implementation = std::pow(10.0, -cfg.implementation_loss_db / 20.0);
-
-    const double round_trip_power = backscatter_received_power(
-        1.0, tx_gain, rx_gain, backscatter_gain, cfg.distance_m, cfg.frequency_hz);
-    // Two-way gaseous loss; implementation loss budgeted once on the tag path.
-    round_trip_amplitude_ = std::sqrt(round_trip_power) * atmospheric * implementation;
-
-    const double one_way_power = one_way_received_power(1.0, tx_gain, aperture_gain,
-                                                        cfg.distance_m, cfg.frequency_hz);
-    one_way_amplitude_ = std::sqrt(one_way_power * atmospheric) * std::sqrt(implementation);
+    const auto path = tag_path(cfg).at(cfg.distance_m);
+    round_trip_amplitude_ = path.round_trip;
+    one_way_amplitude_ = path.one_way;
 
     leakage_amplitude_ = std::pow(10.0, cfg.tx_leakage_db / 20.0);
 
     redraw_fading(cfg.fading_seed);
 
+    const double tx_gain = from_db(cfg.ap_tx_gain_dbi);
+    const double rx_gain = from_db(cfg.ap_rx_gain_dbi);
     for (const auto& reflector : cfg.clutter) {
         if (reflector.distance_m <= 0.0 || reflector.rcs_m2 <= 0.0) {
             throw std::invalid_argument("backscatter_channel: invalid clutter entry");
@@ -129,18 +146,6 @@ cvec backscatter_channel::tag_contribution(std::span<const cf64> tx,
         out[k] = tag_gain * gamma_at(k - one_way_delay_) * tx[k - round_trip_delay_];
     }
     return out;
-}
-
-double backscatter_channel::tag_path_power(double tx_power_w) const
-{
-    if (tx_power_w <= 0.0) throw std::invalid_argument("backscatter_channel: tx power <= 0");
-    return tx_power_w * round_trip_amplitude_ * round_trip_amplitude_ * std::norm(fading_);
-}
-
-double backscatter_channel::tag_incident_power(double tx_power_w) const
-{
-    if (tx_power_w <= 0.0) throw std::invalid_argument("backscatter_channel: tx power <= 0");
-    return tx_power_w * one_way_amplitude_ * one_way_amplitude_;
 }
 
 double backscatter_channel::static_interference_power(double tx_power_w) const

@@ -63,6 +63,32 @@ public:
         std::uint64_t fading_seed = 1;
     };
 
+    /// The distance-dependent part of the tag-path budget: everything else
+    /// in `config` (gains, losses, carrier, rain) is folded once, so
+    /// core::link_budget evaluates any distance without building a channel.
+    class tag_path {
+    public:
+        /// LOS field amplitudes at unit |Gamma| (before fading).
+        struct amplitudes {
+            double round_trip = 0.0; ///< AP -> tag -> AP
+            double one_way = 0.0;    ///< AP -> tag aperture
+        };
+
+        tag_path() = default;
+        explicit tag_path(const config& cfg);
+
+        [[nodiscard]] amplitudes at(double distance_m) const;
+
+    private:
+        double frequency_hz_ = 0.0;
+        double tx_gain_ = 1.0;
+        double rx_gain_ = 1.0;
+        double backscatter_gain_ = 1.0;
+        double aperture_gain_ = 1.0;
+        double atmospheric_db_per_km_ = 0.0;
+        double implementation_ = 1.0;
+    };
+
     explicit backscatter_channel(const config& cfg);
 
     [[nodiscard]] const config& parameters() const { return cfg_; }
@@ -95,14 +121,6 @@ public:
     /// superpose several tags' reflections onto one environment.
     [[nodiscard]] cvec tag_contribution(std::span<const cf64> tx,
                                         std::span<const cf64> tag_gamma) const;
-
-    /// Received tag-path power [W] for a unit-power CW query at |Gamma| = 1;
-    /// the quantity the link budget predicts.
-    [[nodiscard]] double tag_path_power(double tx_power_w) const;
-
-    /// Power collected by the tag's aperture for a `tx_power_w` query [W]
-    /// (the wake-up/downlink budget).
-    [[nodiscard]] double tag_incident_power(double tx_power_w) const;
 
     /// Static (unmodulated) interference power [W] for a unit-power query:
     /// leakage plus all clutter returns.

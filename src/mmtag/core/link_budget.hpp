@@ -31,7 +31,13 @@ public:
     [[nodiscard]] double max_range_m(double required_snr_db) const;
 
 private:
-    system_config cfg_;
+    // Everything but the distance, folded once at construction.
+    channel::backscatter_channel::tag_path path_;
+    double tx_power_w_ = 0.0;
+    double fading_power_ = 1.0;
+    double gamma_loss_db_ = 0.0;
+    double noise_floor_dbm_ = 0.0;
+    double static_interference_dbm_ = 0.0;
 };
 
 } // namespace mmtag::core

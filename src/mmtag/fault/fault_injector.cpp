@@ -55,12 +55,27 @@ fault_injector::fault_injector(fault_schedule schedule)
 {
 }
 
-impairment fault_injector::at(double start_s, double duration_s) const
+impairment fault_injector::at(double start_s, double duration_s)
 {
+    static const std::string counter_names[] = {
+        std::string("fault/") + fault_kind_name(fault_kind::blockage),
+        std::string("fault/") + fault_kind_name(fault_kind::carrier_dropout),
+        std::string("fault/") + fault_kind_name(fault_kind::lo_step),
+        std::string("fault/") + fault_kind_name(fault_kind::interferer),
+        std::string("fault/") + fault_kind_name(fault_kind::brownout),
+    };
+    const auto& events = schedule_.events();
+    const double end_s = start_s + duration_s;
+    if (start_s < live_from_s_) live_ = 0; // back in time: rescan from the top
+    while (live_ < events.size() && events[live_].end_s() <= start_s) ++live_;
+    live_from_s_ = start_s;
+
     impairment out;
     double blockage_db = 0.0;
     double dropout_db = 0.0;
-    for (const auto& event : schedule_.active(start_s, start_s + duration_s)) {
+    for (std::size_t i = live_; i < events.size() && events[i].start_s < end_s; ++i) {
+        const fault_event& event = events[i];
+        if (!event.overlaps(start_s, end_s)) continue;
         switch (event.kind) {
         case fault_kind::blockage:
             blockage_db = std::max(blockage_db, event.magnitude);
@@ -75,17 +90,15 @@ impairment fault_injector::at(double start_s, double duration_s) const
             out.tag_powered = false;
             break;
         case fault_kind::lo_step:
-            break; // persistent: handled below from the full history
+            break; // persistent: handled below by the LO cursor
         }
         if (metrics_ != nullptr) {
-            metrics_
-                ->get_counter(std::string("fault/") + fault_kind_name(event.kind))
-                .add();
+            metrics_->get_counter(counter_names[static_cast<std::size_t>(event.kind)]).add();
         }
     }
     if (blockage_db > 0.0) out.tag_amplitude = db_to_amplitude(-blockage_db);
     if (dropout_db > 0.0) out.carrier_amplitude = db_to_amplitude(-dropout_db);
-    out.lo_offset_hz = lo_offset_hz(start_s + duration_s);
+    out.lo_offset_hz = lo_offset_hz(end_s);
 
     if (out.any()) {
         if (metrics_ != nullptr) metrics_->get_counter("fault/impaired_windows").add();
@@ -100,18 +113,30 @@ impairment fault_injector::at(double start_s, double duration_s) const
     return out;
 }
 
-double fault_injector::lo_offset_hz(double time_s) const
+double fault_injector::lo_offset_hz(double time_s)
 {
     // Latest step that has fired and has not been cleared by a re-lock. The
     // synthesizer holds the detuned frequency, so duration is irrelevant.
-    double offset = 0.0;
-    for (const auto& event : schedule_.events()) {
-        if (event.kind != fault_kind::lo_step) continue;
-        if (event.start_s > time_s) break;
-        if (event.start_s <= lo_cleared_until_s_) continue;
-        offset = event.magnitude;
+    // Events sort by start, so the latest fired step is the last lo_step of
+    // the prefix starting at or before `time_s`, and it is uncleared exactly
+    // when any step of that prefix is.
+    const auto& events = schedule_.events();
+    while (started_ > 0 && events[started_ - 1].start_s > time_s) --started_;
+    if (latest_lo_ > started_) { // rewound past the latest step: find the one before
+        latest_lo_ = 0;
+        for (std::size_t i = started_; i > 0; --i) {
+            if (events[i - 1].kind == fault_kind::lo_step) {
+                latest_lo_ = i;
+                break;
+            }
+        }
     }
-    return offset;
+    for (; started_ < events.size() && events[started_].start_s <= time_s; ++started_) {
+        if (events[started_].kind == fault_kind::lo_step) latest_lo_ = started_ + 1;
+    }
+    if (latest_lo_ == 0) return 0.0;
+    const fault_event& step = events[latest_lo_ - 1];
+    return step.start_s > lo_cleared_until_s_ ? step.magnitude : 0.0;
 }
 
 void fault_injector::clear_lo_steps(double time_s)

@@ -7,7 +7,9 @@
 // nobody is supervising the link.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <span>
 
 #include "mmtag/common.hpp"
@@ -69,19 +71,32 @@ public:
     void attach_metrics(obs::metrics_registry* metrics) { metrics_ = metrics; }
 
     /// Impairment seen by a frame occupying [start_s, start_s + duration_s).
-    [[nodiscard]] impairment at(double start_s, double duration_s) const;
+    /// Advances the lookup cursors, hence non-const: amortised O(1) and
+    /// allocation-free while query times do not decrease; a query that goes
+    /// back in time rewinds and returns what a full scan would.
+    [[nodiscard]] impairment at(double start_s, double duration_s);
 
     /// Re-lock after acquisition: forgets every LO step that started at or
     /// before `time_s`. Called by the link supervisor's session watchdog.
     void clear_lo_steps(double time_s);
 
     /// Uncompensated LO offset at `time_s` (latest uncleared step wins).
-    [[nodiscard]] double lo_offset_hz(double time_s) const;
+    /// Moves the LO cursor like at().
+    [[nodiscard]] double lo_offset_hz(double time_s);
 
 private:
     fault_schedule schedule_;
     obs::metrics_registry* metrics_ = nullptr; ///< observer only, never read
     double lo_cleared_until_s_ = 0.0;
+    // Cursors over schedule_.events(), which sort by start time.
+    /// Every event before `live_` had ended by `live_from_s_`, so none of
+    /// them overlaps a window starting at or after it.
+    std::size_t live_ = 0;
+    double live_from_s_ = -std::numeric_limits<double>::infinity();
+    /// Events [0, started_) start at or before the last LO query time;
+    /// `latest_lo_` is 1 + the index of the last lo_step among them (0: none).
+    std::size_t started_ = 0;
+    std::size_t latest_lo_ = 0;
 };
 
 } // namespace mmtag::fault

@@ -147,16 +147,6 @@ std::vector<fault_event> fault_schedule::normalize(std::vector<fault_event> even
     return merged;
 }
 
-std::vector<fault_event> fault_schedule::active(double t0, double t1) const
-{
-    std::vector<fault_event> out;
-    for (const auto& event : events_) {
-        if (event.start_s >= t1) break; // sorted by construction
-        if (event.overlaps(t0, t1)) out.push_back(event);
-    }
-    return out;
-}
-
 std::size_t fault_schedule::count(fault_kind kind) const
 {
     return static_cast<std::size_t>(

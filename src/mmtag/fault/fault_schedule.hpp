@@ -88,9 +88,6 @@ public:
     [[nodiscard]] std::uint64_t seed() const { return seed_; }
     [[nodiscard]] const std::vector<fault_event>& events() const { return events_; }
 
-    /// Events overlapping the window [t0, t1).
-    [[nodiscard]] std::vector<fault_event> active(double t0, double t1) const;
-
     /// Number of scheduled events of one kind.
     [[nodiscard]] std::size_t count(fault_kind kind) const;
 

@@ -96,8 +96,11 @@ multi_tag_plan::multi_tag_plan(const multi_tag_config& cfg, std::size_t tag_coun
         }
     }
 
+    // The interferer keeps its absolute start; a horizon that ends first (a
+    // soak of a few short rounds) leaves it no frame to overlap, so it is
+    // dropped instead of rejected by the schedule.
     std::vector<fault_event> shared_events;
-    if (cfg.interferer_duration_s > 0.0) {
+    if (cfg.interferer_duration_s > 0.0 && cfg.interferer_start_s < cfg.horizon_s) {
         fault_event cw;
         cw.kind = fault_kind::interferer;
         cw.start_s = cfg.interferer_start_s;

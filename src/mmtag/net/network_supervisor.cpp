@@ -1,6 +1,5 @@
 #include "mmtag/net/network_supervisor.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 
 #include "mmtag/obs/metrics_registry.hpp"
@@ -8,48 +7,29 @@
 namespace mmtag::net {
 
 network_supervisor::network_supervisor(const supervisor_config& cfg,
-                                       std::vector<std::uint32_t> tag_ids)
-    : cfg_(cfg), tag_ids_(std::move(tag_ids))
+                                       std::size_t tag_count)
+    : cfg_(cfg)
 {
-    if (tag_ids_.empty()) {
+    if (tag_count == 0) {
         throw std::invalid_argument("network_supervisor: no tags");
     }
-    // Sorted (tag id -> session index) side table: record_data/record_probe
-    // fire once per slot per round, so the lookup must be O(log n), not a
-    // scan — at thousands of tags per AP a scan turns each round quadratic.
-    index_.reserve(tag_ids_.size());
-    for (std::size_t i = 0; i < tag_ids_.size(); ++i) {
-        index_.emplace_back(tag_ids_[i], i);
+    sessions_.reserve(tag_count);
+    for (std::size_t id = 0; id < tag_count; ++id) {
+        sessions_.emplace_back(static_cast<std::uint32_t>(id), cfg.session);
     }
-    std::sort(index_.begin(), index_.end());
-    for (std::size_t i = 1; i < index_.size(); ++i) {
-        if (index_[i].first == index_[i - 1].first) {
-            throw std::invalid_argument("network_supervisor: duplicate tag id");
-        }
-    }
-    sessions_.reserve(tag_ids_.size());
-    for (const std::uint32_t id : tag_ids_) sessions_.emplace_back(id, cfg.session);
-}
-
-std::size_t network_supervisor::session_index(std::uint32_t tag_id) const
-{
-    const auto it = std::lower_bound(
-        index_.begin(), index_.end(),
-        std::pair<std::uint32_t, std::size_t>{tag_id, 0});
-    if (it == index_.end() || it->first != tag_id) {
-        throw std::invalid_argument("network_supervisor: unknown tag id");
-    }
-    return it->second;
 }
 
 const tag_session& network_supervisor::session(std::uint32_t tag_id) const
 {
-    return sessions_[session_index(tag_id)];
+    if (tag_id >= sessions_.size()) {
+        throw std::invalid_argument("network_supervisor: unknown tag id");
+    }
+    return sessions_[tag_id];
 }
 
 tag_session& network_supervisor::session_mut(std::uint32_t tag_id)
 {
-    return sessions_[session_index(tag_id)];
+    return const_cast<tag_session&>(session(tag_id));
 }
 
 std::size_t network_supervisor::healthy_count() const

@@ -13,7 +13,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <utility>
 #include <vector>
 
 #include "mmtag/mac/tdma.hpp"
@@ -48,9 +47,13 @@ struct round_plan {
     std::vector<std::uint32_t> probes;
 };
 
+/// Tags are addressed by position: a supervisor over `tag_count` tags owns
+/// sessions 0..tag_count-1, and every tag id in its plans and record calls
+/// is such a position (a DES cell maps positions to its member tags), so a
+/// session lookup is one bounds-checked index.
 class network_supervisor {
 public:
-    network_supervisor(const supervisor_config& cfg, std::vector<std::uint32_t> tag_ids);
+    network_supervisor(const supervisor_config& cfg, std::size_t tag_count);
 
     [[nodiscard]] std::size_t tag_count() const { return sessions_.size(); }
     [[nodiscard]] const tag_session& session(std::uint32_t tag_id) const;
@@ -71,15 +74,11 @@ public:
 
 private:
     [[nodiscard]] tag_session& session_mut(std::uint32_t tag_id);
-    [[nodiscard]] std::size_t session_index(std::uint32_t tag_id) const;
     [[nodiscard]] std::size_t current_round() const;
     void note_transitions(const tag_session& session, std::size_t before) const;
 
     supervisor_config cfg_;
-    std::vector<std::uint32_t> tag_ids_;
-    std::vector<tag_session> sessions_;
-    /// Sorted (tag id, sessions_ index) for O(log n) session lookup.
-    std::vector<std::pair<std::uint32_t, std::size_t>> index_;
+    std::vector<tag_session> sessions_; ///< indexed by tag id
     std::size_t round_ = 0;
     std::size_t rotation_ = 0;
 };

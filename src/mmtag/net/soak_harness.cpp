@@ -303,10 +303,8 @@ soak_trial_result run_soak_trial(const soak_config& cfg, std::size_t trial,
     sup_cfg.session = cfg.session;
     sup_cfg.slot_budget = cfg.slot_budget;
     sup_cfg.metrics = registry;
-    std::vector<std::uint32_t> ids;
-    ids.reserve(n);
-    for (const auto& tag : population) ids.push_back(tag.id);
-    network_supervisor supervisor(sup_cfg, ids);
+    // uniform_population numbers tags 0..n-1, the supervisor's positions.
+    network_supervisor supervisor(sup_cfg, n);
 
     soak_trial_result result;
     result.trace.tag_count = n;
@@ -381,15 +379,15 @@ soak_trial_result run_soak_trial(const soak_config& cfg, std::size_t trial,
         }
         for (std::size_t i = 0; i < n; ++i) {
             rec.states[i] =
-                static_cast<std::uint8_t>(supervisor.session(ids[i]).state());
+                static_cast<std::uint8_t>(supervisor.session(i).state());
         }
         result.trace.rounds.push_back(std::move(rec));
     }
 
     for (std::size_t i = 0; i < n; ++i) {
-        const auto& session = supervisor.session(ids[i]);
+        const auto& session = supervisor.session(i);
         for (const auto& t : session.transitions()) {
-            result.trace.transitions.push_back({ids[i], t});
+            result.trace.transitions.push_back({session.tag_id(), t});
         }
         for (const std::size_t latency : session.readmit_latencies_rounds()) {
             result.trace.readmit_latencies_rounds.push_back(latency);

@@ -1,9 +1,12 @@
 #include "mmtag/scale/des_engine.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
+#include <limits>
 #include <memory>
+#include <span>
 #include <stdexcept>
 
 #include "mmtag/ap/rate_adaptation.hpp"
@@ -18,6 +21,10 @@
 
 namespace mmtag::scale {
 
+namespace {
+
+enum class event_kind : std::uint8_t { round_begin = 0, data_slot = 1, probe_slot = 2 };
+
 const char* event_kind_name(event_kind kind)
 {
     switch (kind) {
@@ -28,36 +35,23 @@ const char* event_kind_name(event_kind kind)
     return "?";
 }
 
-namespace {
+struct des_event {
+    double time_s = 0.0;
+    double duration_s = 0.0; ///< slot window (fault query span)
+    std::uint64_t seq = 0;   ///< global creation order
+    std::uint32_t ap = 0;
+    std::uint32_t tag = 0;
+    std::uint16_t mcs = 0; ///< rate-ladder index for slot events
+    event_kind kind = event_kind::round_begin;
+};
 
-/// Min-heap order on (time, seq): `a` sorts after `b` when it happens later
-/// or — at the exact same time — was pushed later.
-bool event_after(const des_event& a, const des_event& b)
-{
-    if (a.time_s != b.time_s) return a.time_s > b.time_s;
-    return a.seq > b.seq;
-}
-
-} // namespace
-
-std::uint64_t event_queue::push(des_event event)
-{
-    event.seq = next_seq_++;
-    heap_.push_back(event);
-    std::push_heap(heap_.begin(), heap_.end(), event_after);
-    return event.seq;
-}
-
-des_event event_queue::pop()
-{
-    if (heap_.empty()) throw std::logic_error("event_queue: pop on empty queue");
-    std::pop_heap(heap_.begin(), heap_.end(), event_after);
-    const des_event event = heap_.back();
-    heap_.pop_back();
-    return event;
-}
-
-namespace {
+/// One AP cell's pending events: the slots of its current round in time
+/// order, then its next round_begin at the round's end. The round_begin is
+/// the last of them, so the buffer is empty whenever the cell plans a round.
+struct cell_events {
+    std::vector<des_event> pending;
+    std::size_t head = 0;
+};
 
 constexpr std::size_t probe_payload_bytes = 4;
 constexpr double interferer_floor_db = -300.0;
@@ -69,6 +63,30 @@ std::uint64_t fnv1a64_line(std::uint64_t hash, const char* text, std::size_t len
         hash *= 0x100000001b3ULL;
     }
     return hash;
+}
+
+/// Writes `ev`'s log line — the bytes printf("%llu %.9f %u %s %u %u %d\n")
+/// would produce (std::to_chars in fixed format with a precision is
+/// specified as printf's %.*f) — into `out` and returns its length. Each
+/// field leaves room for the separator that follows it.
+std::size_t format_event_line(const des_event& ev, int outcome, std::span<char> out)
+{
+    char* p = out.data();
+    char* const last = out.data() + out.size() - 1;
+    const auto field = [&](auto value, char separator) {
+        p = std::to_chars(p, last, value).ptr;
+        *p++ = separator;
+    };
+    field(ev.seq, ' ');
+    p = std::to_chars(p, last, ev.time_s, std::chars_format::fixed, 9).ptr;
+    *p++ = ' ';
+    field(ev.ap, ' ');
+    for (const char* name = event_kind_name(ev.kind); *name != '\0'; ++name) *p++ = *name;
+    *p++ = ' ';
+    field(ev.tag, ' ');
+    field(ev.mcs, ' ');
+    field(outcome, '\n');
+    return static_cast<std::size_t>(p - out.data());
 }
 
 /// Airtime of one TDMA slot at a given rate: query + turnaround + the full
@@ -99,6 +117,7 @@ scale_trial_result run_scale_trial(const scale_config& cfg, const deployment& to
                                    obs::metrics_registry* metrics)
 {
     const std::size_t n = topo.tags.size();
+    const std::size_t cell_count = topo.aps.size();
     const std::uint64_t tseed = runtime::trial_seed(cfg.seed, 0, trial);
     const std::uint64_t draw_seed = runtime::substream(tseed, 0);
     const std::uint64_t fault_seed = runtime::trial_seed(cfg.fault_seed, 0, trial);
@@ -130,7 +149,7 @@ scale_trial_result run_scale_trial(const scale_config& cfg, const deployment& to
     // tail where quarantined tags re-admit. Storm/brownout/background
     // fields are per-second rates or short transients and stay absolute.
     double nominal_round_s = 0.0;
-    for (std::size_t a = 0; a < topo.aps.size(); ++a) {
+    for (std::size_t a = 0; a < cell_count; ++a) {
         double round_s = 0.0;
         for (const std::size_t t : topo.cells[a]) round_s += mcs_slot_s[tag_mcs[t]];
         nominal_round_s = std::max(nominal_round_s, round_s);
@@ -145,24 +164,29 @@ scale_trial_result run_scale_trial(const scale_config& cfg, const deployment& to
     const std::size_t faulted = std::min(cfg.faulted, n);
     const fault::multi_tag_plan plan(faults, n, faulted, fault_seed);
     fault::fault_injector shared_injector(plan.shared());
+    // Tags [faulted, n) hold empty schedules, which impair nothing: only the
+    // faulted tags get an injector.
     std::vector<fault::fault_injector> tag_injectors;
-    tag_injectors.reserve(n);
-    for (const auto& schedule : plan.per_tag()) tag_injectors.emplace_back(schedule);
+    tag_injectors.reserve(faulted);
+    for (std::size_t t = 0; t < faulted; ++t) tag_injectors.emplace_back(plan.per_tag()[t]);
+    std::vector<double> sinr_lin(n);
+    for (std::size_t t = 0; t < n; ++t) sinr_lin[t] = from_db(topo.tags[t].sinr_db);
 
-    // One unmodified network_supervisor per non-empty cell.
-    std::vector<std::unique_ptr<net::network_supervisor>> supervisors(topo.aps.size());
-    for (std::size_t a = 0; a < topo.aps.size(); ++a) {
+    // One unmodified network_supervisor per non-empty cell. It addresses
+    // its tags by position in the cell: topo.cells[a][position] is the tag.
+    std::vector<std::unique_ptr<net::network_supervisor>> supervisors(cell_count);
+    std::vector<std::uint32_t> position(n, 0);
+    for (std::size_t a = 0; a < cell_count; ++a) {
         if (topo.cells[a].empty()) continue;
         net::supervisor_config sup_cfg;
         sup_cfg.session = cfg.session;
         sup_cfg.slot_budget = cfg.slot_budget;
         sup_cfg.metrics = metrics;
-        std::vector<std::uint32_t> ids;
-        ids.reserve(topo.cells[a].size());
-        for (const std::size_t t : topo.cells[a]) {
-            ids.push_back(topo.tags[t].id);
+        for (std::size_t p = 0; p < topo.cells[a].size(); ++p) {
+            position[topo.cells[a][p]] = static_cast<std::uint32_t>(p);
         }
-        supervisors[a] = std::make_unique<net::network_supervisor>(sup_cfg, ids);
+        supervisors[a] =
+            std::make_unique<net::network_supervisor>(sup_cfg, topo.cells[a].size());
     }
 
     scale_trial_result result;
@@ -179,52 +203,84 @@ scale_trial_result run_scale_trial(const scale_config& cfg, const deployment& to
     // the current plan's robust list is O(1) per slot.
     std::vector<std::uint64_t> robust_stamp(n, 0);
     std::uint64_t stamp = 0;
-    std::vector<std::size_t> rounds_done(topo.aps.size(), 0);
-    std::vector<double> cell_end_s(topo.aps.size(), 0.0);
+    std::vector<std::size_t> rounds_done(cell_count, 0);
+    std::vector<double> cell_end_s(cell_count, 0.0);
 
-    event_queue queue;
-    for (std::size_t a = 0; a < topo.aps.size(); ++a) {
+    // Per-cell event buffers, merged by (time, seq) through the head keys:
+    // the same order one global (time, seq) queue would pop them in.
+    constexpr double no_event = std::numeric_limits<double>::infinity();
+    std::vector<cell_events> cells(cell_count);
+    std::vector<double> head_time(cell_count, no_event);
+    std::vector<std::uint64_t> head_seq(cell_count, 0);
+    std::uint64_t next_seq = 0;
+    const auto schedule = [&](std::size_t a, des_event event) {
+        event.seq = next_seq++;
+        cells[a].pending.push_back(event);
+    };
+    const auto refresh_head = [&](std::size_t a) {
+        const cell_events& cell = cells[a];
+        if (cell.head < cell.pending.size()) {
+            head_time[a] = cell.pending[cell.head].time_s;
+            head_seq[a] = cell.pending[cell.head].seq;
+        } else {
+            head_time[a] = no_event;
+        }
+    };
+    for (std::size_t a = 0; a < cell_count; ++a) {
         if (supervisors[a] == nullptr) continue;
         des_event begin;
         begin.kind = event_kind::round_begin;
         begin.ap = static_cast<std::uint32_t>(a);
         begin.time_s = 0.0;
-        queue.push(begin);
+        schedule(a, begin);
+        refresh_head(a);
     }
 
-    char line[160];
-    while (!queue.empty()) {
-        const des_event ev = queue.pop();
+    char line[400];
+    for (;;) {
+        std::size_t next = 0;
+        for (std::size_t a = 1; a < cell_count; ++a) {
+            if (head_time[a] < head_time[next] ||
+                (head_time[a] == head_time[next] && head_seq[a] < head_seq[next])) {
+                next = a;
+            }
+        }
+        if (head_time[next] == no_event) break;
+        cell_events& cell = cells[next];
+        const des_event ev = cell.pending[cell.head++];
         int outcome = -1;
 
         if (ev.kind == event_kind::round_begin) {
+            cell.pending.clear();
+            cell.head = 0;
             auto& sup = *supervisors[ev.ap];
+            const auto& members = topo.cells[ev.ap];
             const net::round_plan round = sup.plan_round();
             ++stamp;
-            for (const std::uint32_t id : round.robust) robust_stamp[id] = stamp;
+            for (const std::uint32_t p : round.robust) robust_stamp[members[p]] = stamp;
 
             double cursor = ev.time_s;
-            for (const std::uint32_t id : round.probes) {
+            for (const std::uint32_t p : round.probes) {
                 des_event slot;
                 slot.kind = event_kind::probe_slot;
                 slot.ap = ev.ap;
-                slot.tag = id;
+                slot.tag = static_cast<std::uint32_t>(members[p]);
                 slot.mcs = 0;
                 slot.time_s = cursor;
                 slot.duration_s = probe_slot_s;
-                queue.push(slot);
+                schedule(next, slot);
                 cursor += probe_slot_s;
             }
-            for (const std::uint32_t id : mac::tdma_scheduler::interleave_shares(
+            for (const std::uint32_t p : mac::tdma_scheduler::interleave_shares(
                      round.shares)) {
                 des_event slot;
                 slot.kind = event_kind::data_slot;
                 slot.ap = ev.ap;
-                slot.tag = id;
-                slot.mcs = robust_stamp[id] == stamp ? 0 : tag_mcs[id];
+                slot.tag = static_cast<std::uint32_t>(members[p]);
+                slot.mcs = robust_stamp[slot.tag] == stamp ? 0 : tag_mcs[slot.tag];
                 slot.time_s = cursor;
                 slot.duration_s = mcs_slot_s[slot.mcs];
-                queue.push(slot);
+                schedule(next, slot);
                 cursor += slot.duration_s;
             }
             // A fully quarantined, probe-less round still advances time by
@@ -233,15 +289,17 @@ scale_trial_result run_scale_trial(const scale_config& cfg, const deployment& to
             cell_end_s[ev.ap] = cursor;
             ++result.rounds;
             if (++rounds_done[ev.ap] < cfg.frames) {
-                des_event next;
-                next.kind = event_kind::round_begin;
-                next.ap = ev.ap;
-                next.time_s = cursor;
-                queue.push(next);
+                des_event begin;
+                begin.kind = event_kind::round_begin;
+                begin.ap = ev.ap;
+                begin.time_s = cursor;
+                schedule(next, begin);
             }
         } else {
             const auto shared_imp = shared_injector.at(ev.time_s, ev.duration_s);
-            const auto tag_imp = tag_injectors[ev.tag].at(ev.time_s, ev.duration_s);
+            const auto tag_imp = ev.tag < tag_injectors.size()
+                                     ? tag_injectors[ev.tag].at(ev.time_s, ev.duration_s)
+                                     : fault::impairment{};
             const bool powered = shared_imp.tag_powered && tag_imp.tag_powered;
             // Mirror the sample-accurate impairment application: blockage
             // shadows the tag path both ways (power x a^4), a dropout scales
@@ -251,7 +309,7 @@ scale_trial_result run_scale_trial(const scale_config& cfg, const deployment& to
             const double c = shared_imp.carrier_amplitude * tag_imp.carrier_amplitude;
             const double rel_db =
                 std::max(shared_imp.interferer_rel_db, tag_imp.interferer_rel_db);
-            const double s_lin = from_db(topo.tags[ev.tag].sinr_db);
+            const double s_lin = sinr_lin[ev.tag];
             const double signal_factor = a * a * a * a * c * c;
             const double denom =
                 1.0 + (rel_db > interferer_floor_db ? s_lin * from_db(rel_db) : 0.0);
@@ -270,10 +328,10 @@ scale_trial_result run_scale_trial(const scale_config& cfg, const deployment& to
             auto& sup = *supervisors[ev.ap];
             if (ev.kind == event_kind::probe_slot) {
                 ++result.probe_slots;
-                sup.record_probe(ev.tag, delivered);
+                sup.record_probe(position[ev.tag], delivered);
             } else {
                 ++result.data_slots;
-                if (sup.record_data(ev.tag, delivered)) {
+                if (sup.record_data(position[ev.tag], delivered)) {
                     ++result.attempts_per_tag[ev.tag];
                     if (delivered) {
                         ++result.delivered_per_tag[ev.tag];
@@ -282,21 +340,18 @@ scale_trial_result run_scale_trial(const scale_config& cfg, const deployment& to
                 }
             }
         }
+        refresh_head(next);
 
-        const int length = std::snprintf(
-            line, sizeof line, "%llu %.9f %u %s %u %u %d\n",
-            static_cast<unsigned long long>(ev.seq), ev.time_s, ev.ap,
-            event_kind_name(ev.kind), ev.tag, ev.mcs, outcome);
-        result.event_log_hash =
-            fnv1a64_line(result.event_log_hash, line, static_cast<std::size_t>(length));
-        if (cfg.record_event_log) result.event_log.append(line);
+        const std::size_t length = format_event_line(ev, outcome, line);
+        result.event_log_hash = fnv1a64_line(result.event_log_hash, line, length);
+        if (cfg.record_event_log) result.event_log.append(line, length);
     }
 
-    result.events = queue.pushed();
+    result.events = next_seq;
     result.sim_time_s = *std::max_element(cell_end_s.begin(), cell_end_s.end());
     for (std::size_t t = 0; t < n; ++t) {
         const auto& sup = supervisors[topo.tags[t].ap];
-        const net::tag_session& session = sup->session(topo.tags[t].id);
+        const net::tag_session& session = sup->session(position[t]);
         result.transitions += session.transitions().size();
         for (const auto& transition : session.transitions()) {
             if (transition.from == net::session_state::probing &&
@@ -401,14 +456,13 @@ scale_result run_scale(const scale_config& cfg, std::size_t jobs,
                        obs::metrics_registry* metrics, const std::string& cache_dir)
 {
     validate(cfg);
-    const deployment topo = make_deployment(cfg.topology, cfg.scenario);
-
     phy_table_config table_cfg = cfg.phy;
     table_cfg.scenario = cfg.scenario;
     table_cfg.payload_bytes = cfg.payload_bytes;
     auto cache = phy_table::load_or_generate(table_cfg, jobs, cache_dir);
 
     runtime::thread_pool pool(jobs);
+    const deployment topo = make_deployment(cfg.topology, cfg.scenario, pool);
     std::vector<obs::metrics_registry> registries(metrics != nullptr ? cfg.trials : 0);
     const auto trials = runtime::ordered_parallel_results(
         pool, cfg.trials, [&](std::size_t trial) {

@@ -6,17 +6,21 @@
 // fault::multi_tag_plan impairments active over the slot window.
 //
 // Determinism contract (same as the Monte-Carlo runtime's):
-//   * the event queue orders by (time, sequence number) with the sequence
-//     assigned at push, so simultaneous events pop in creation order on
-//     every run;
+//   * every event gets a global sequence number when it is scheduled; each
+//     cell buffers its pending events (the current round's slots, then its
+//     next round start) already in (time, sequence) order, and the engine
+//     merges the cell heads by (time, sequence), so simultaneous events —
+//     in one cell or across cells — run in creation order on every run.
+//     There is no global event queue;
 //   * each packet draw is keyed by the event's global sequence number
 //     through runtime::substream — outcomes depend on *which* event, never
 //     on scheduling or --jobs;
 //   * trials fan out across the thread pool into pre-allocated slots and
 //     fold back in trial order.
 // Every event also feeds a running FNV-1a hash of its formatted log line
-// (recorded verbatim only when `record_event_log` is set), so byte-identity
-// of whole runs is checked cheaply across --jobs values.
+// "seq time(%.9f) ap kind tag mcs outcome" (recorded verbatim only when
+// `record_event_log` is set), so byte-identity of whole runs is checked
+// cheaply across --jobs values.
 //
 // Impairment -> SINR mapping mirrors how core::link_simulator applies the
 // same impairments to samples: blockage shadows the tag path twice (power
@@ -40,37 +44,6 @@ class metrics_registry;
 }
 
 namespace mmtag::scale {
-
-enum class event_kind : std::uint8_t { round_begin = 0, data_slot = 1, probe_slot = 2 };
-
-[[nodiscard]] const char* event_kind_name(event_kind kind);
-
-struct des_event {
-    double time_s = 0.0;
-    std::uint64_t seq = 0; ///< assigned by event_queue::push
-    event_kind kind = event_kind::round_begin;
-    std::uint32_t ap = 0;
-    std::uint32_t tag = 0;
-    std::uint16_t mcs = 0;    ///< rate-ladder index for slot events
-    double duration_s = 0.0;  ///< slot window (fault query span)
-};
-
-/// Binary-heap event queue with stable tie-breaking: events at equal times
-/// pop in push order (ascending sequence number), never in heap order.
-class event_queue {
-public:
-    /// Stamps the event with the next global sequence number and enqueues
-    /// it; returns the assigned sequence.
-    std::uint64_t push(des_event event);
-    [[nodiscard]] des_event pop();
-    [[nodiscard]] bool empty() const { return heap_.empty(); }
-    [[nodiscard]] std::size_t size() const { return heap_.size(); }
-    [[nodiscard]] std::uint64_t pushed() const { return next_seq_; }
-
-private:
-    std::vector<des_event> heap_;
-    std::uint64_t next_seq_ = 0;
-};
 
 struct scale_config {
     topology_config topology{};

@@ -6,6 +6,7 @@
 
 #include "mmtag/channel/path_loss.hpp"
 #include "mmtag/core/link_budget.hpp"
+#include "mmtag/runtime/thread_pool.hpp"
 #include "mmtag/runtime/trial_rng.hpp"
 
 namespace mmtag::scale {
@@ -124,6 +125,14 @@ double distance_3d(const placed_ap& ap, const placed_tag& tag)
 deployment make_deployment(const topology_config& cfg,
                            const core::system_config& scenario)
 {
+    runtime::thread_pool inline_pool(1);
+    return make_deployment(cfg, scenario, inline_pool);
+}
+
+deployment make_deployment(const topology_config& cfg,
+                           const core::system_config& scenario,
+                           runtime::thread_pool& pool)
+{
     if (cfg.tag_count == 0) throw std::invalid_argument("topology: no tags");
     if (cfg.ap_count == 0) throw std::invalid_argument("topology: no APs");
     if (!(cfg.floor_m > 0.0)) throw std::invalid_argument("topology: floor <= 0");
@@ -181,19 +190,21 @@ deployment make_deployment(const topology_config& cfg,
     const double ap_suppression = from_db(-cfg.ap_suppression_db);
     const double tag_suppression = from_db(-cfg.tag_suppression_db);
 
-    // interference_w[i] = total co-channel power into AP i's receiver.
+    // interference_w[i] = total co-channel power into AP i's receiver. Each
+    // AP's sum runs on one executor in a fixed order, so the pool's size
+    // never changes a bit of it.
     std::vector<double> interference_w(cfg.ap_count, 0.0);
-    for (std::size_t i = 0; i < cfg.ap_count; ++i) {
+    pool.parallel_for(cfg.ap_count, [&](std::size_t i) {
+        double total_w = 0.0;
         for (std::size_t j = 0; j < cfg.ap_count; ++j) {
             if (j == i) continue;
             const double dx = out.aps[i].x_m - out.aps[j].x_m;
             const double dy = out.aps[i].y_m - out.aps[j].y_m;
             const double d_ap = std::max(0.1, std::sqrt(dx * dx + dy * dy));
-            interference_w[i] += channel::one_way_received_power(
-                                     tx_power_w, from_db(scenario.ap_tx_gain_dbi),
-                                     from_db(scenario.ap_rx_gain_dbi), d_ap,
-                                     frequency_hz) *
-                                 ap_suppression;
+            total_w += channel::one_way_received_power(
+                           tx_power_w, from_db(scenario.ap_tx_gain_dbi),
+                           from_db(scenario.ap_rx_gain_dbi), d_ap, frequency_hz) *
+                       ap_suppression;
             if (out.cells[j].empty()) continue;
             double cell_sum_w = 0.0;
             for (const std::size_t t : out.cells[j]) {
@@ -203,16 +214,18 @@ deployment make_deployment(const topology_config& cfg,
                 cell_sum_w +=
                     dbm_to_watt(budget.at(std::sqrt(d1 * d2)).received_at_ap_dbm);
             }
-            interference_w[i] += tag_suppression * cell_sum_w /
-                                 static_cast<double>(out.cells[j].size());
+            total_w += tag_suppression * cell_sum_w /
+                       static_cast<double>(out.cells[j].size());
         }
-    }
+        interference_w[i] = total_w;
+    });
 
-    for (auto& tag : out.tags) {
+    pool.parallel_for(out.tags.size(), [&](std::size_t k) {
+        auto& tag = out.tags[k];
         const double signal_w =
             dbm_to_watt(budget.at(tag.distance_m).received_at_ap_dbm);
         tag.sinr_db = to_db(signal_w / (noise_w + interference_w[tag.ap]));
-    }
+    });
     return out;
 }
 

@@ -29,6 +29,10 @@
 
 #include "mmtag/core/config.hpp"
 
+namespace mmtag::runtime {
+class thread_pool;
+}
+
 namespace mmtag::scale {
 
 enum class layout_kind {
@@ -95,5 +99,11 @@ struct deployment {
 /// position is independent of how many tags precede it.
 [[nodiscard]] deployment make_deployment(const topology_config& cfg,
                                          const core::system_config& scenario);
+
+/// The same deployment, bit for bit, with the per-AP interference sums and
+/// the per-tag SINRs computed on `pool`.
+[[nodiscard]] deployment make_deployment(const topology_config& cfg,
+                                         const core::system_config& scenario,
+                                         runtime::thread_pool& pool);
 
 } // namespace mmtag::scale

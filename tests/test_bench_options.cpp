@@ -12,6 +12,8 @@
 #include <vector>
 
 #include "../bench/bench_util.hpp"
+#include "mmtag/net/soak_harness.hpp"
+#include "mmtag/scale/des_engine.hpp"
 
 namespace mmtag::bench {
 namespace {
@@ -88,6 +90,37 @@ TEST(bench_options_death, unknown_flag_exits_before_any_output)
                 testing::ExitedWithCode(2), "unknown option --trials");
     EXPECT_EXIT((void)parse_flags({"--csv", "yes"}), testing::ExitedWithCode(2),
                 "--csv takes no value");
+}
+
+TEST(bench_options_death, zero_soak_or_scale_extra_exits_before_any_output)
+{
+    // bench_r22 `--trials 0` / `--rounds 0` and bench_r23 `--aps 0` build
+    // configs the library rejects; the bench validates them before its
+    // banner and exits(2) with the validator's message instead of aborting
+    // inside run_soak/run_scale. Stdout is folded into stderr as above.
+    const auto expect_rejected = [](auto check, const char* pattern) {
+        EXPECT_EXIT(
+            {
+                dup2(fileno(stderr), fileno(stdout));
+                validate_or_exit(check);
+            },
+            testing::ExitedWithCode(2), pattern);
+    };
+    net::soak_config soak;
+    soak.trials = 0;
+    expect_rejected([&] { net::validate(soak); }, "^error: soak: trials must be >= 1\n$");
+    soak.trials = 1;
+    soak.rounds = 0;
+    expect_rejected([&] { net::validate(soak); }, "^error: soak: rounds must be >= 1\n$");
+    scale::scale_config scale_cfg;
+    scale_cfg.topology.ap_count = 0;
+    expect_rejected([&] { scale::validate(scale_cfg); },
+                    "^error: scale: APs must be >= 1\n$");
+
+    soak.rounds = 1;
+    scale_cfg.topology.ap_count = 1;
+    validate_or_exit([&] { net::validate(soak); });
+    validate_or_exit([&] { scale::validate(scale_cfg); });
 }
 
 TEST(bench_options_death, missing_value_exits)

@@ -310,6 +310,26 @@ TEST(commands, soak_runs_and_reports_via_exit_code)
     fs::remove_all(dir);
 }
 
+TEST(commands, one_round_soak_reaches_its_invariant_verdict)
+{
+    // One round measures a fault horizon shorter than the shared
+    // interferer's start; the soak must still run to its verdict.
+    namespace fs = std::filesystem;
+    const auto dir = fs::temp_directory_path() / "mmtag_cli_short_soak_test";
+    fs::create_directories(dir);
+    const std::string json_arg = "--json=" + (dir / "soak.json").string();
+    const char* argv[] = {"mmtag_sim", "soak",     "--tags",   "4", "--faulted",
+                          "1",         "--trials", "1",        "--rounds", "1",
+                          json_arg.c_str()};
+    const int code = dispatch(11, argv);
+    EXPECT_TRUE(code == 0 || code == 3) << code;
+    std::ifstream in(dir / "soak.json");
+    std::stringstream buffer;
+    buffer << in.rdbuf();
+    EXPECT_NE(buffer.str().find("\"invariants\""), std::string::npos);
+    fs::remove_all(dir);
+}
+
 TEST(commands, soak_rejects_bad_arguments_with_exit_1)
 {
     const char* typo[] = {"mmtag_sim", "soak", "--tgs", "4"};

@@ -78,6 +78,39 @@ TEST(link_budget, max_range_consistent_with_at)
     EXPECT_LT(budget.at(range * 1.5).snr_db, 10.0);
 }
 
+TEST(link_budget, matches_a_channel_built_at_each_distance)
+{
+    // The budget folds everything but the distance once; every entry must
+    // equal, bit for bit, the powers of a backscatter_channel built at that
+    // distance from the whole config — with rain and with fading drawn.
+    auto rainy = fast_scenario();
+    rainy.rain_rate_mm_per_hr = 25.0;
+    rainy.rician_k_db = 6.0;
+    for (const auto& cfg : {default_scenario(), fast_scenario(), rainy}) {
+        const link_budget budget(cfg);
+        const double tx_power_w = dbm_to_watt(cfg.transmitter.tx_power_dbm);
+        const double gamma_loss_db = cfg.modulator.rf_switch.insertion_loss_db +
+                                     cfg.modulator.bank.stub_loss_db;
+        for (const double d : {0.3, 1.0, 2.7, 8.0, 41.0}) {
+            auto at_d = cfg;
+            at_d.distance_m = d;
+            const auto chan_cfg = make_channel_config(at_d);
+            const channel::backscatter_channel chan(chan_cfg);
+            const double round_trip = chan.round_trip_amplitude();
+            const double one_way = channel::backscatter_channel::tag_path(chan_cfg).at(d).one_way;
+            const auto entry = budget.at(d);
+            EXPECT_EQ(entry.received_at_ap_dbm,
+                      watt_to_dbm(tx_power_w * round_trip * round_trip *
+                                  std::norm(chan.fading_coefficient())) -
+                          gamma_loss_db);
+            EXPECT_EQ(entry.incident_at_tag_dbm,
+                      watt_to_dbm(tx_power_w * one_way * one_way));
+            EXPECT_EQ(entry.static_interference_dbm,
+                      watt_to_dbm(chan.static_interference_power(tx_power_w)));
+        }
+    }
+}
+
 TEST(link_budget, sweep_is_monotone)
 {
     const link_budget budget(default_scenario());

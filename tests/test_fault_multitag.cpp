@@ -265,6 +265,25 @@ TEST(multi_tag_plan, shared_channel_carries_the_persistent_interferer)
     EXPECT_DOUBLE_EQ(plan.last_fault_end_s(), cw.end_s());
 }
 
+TEST(multi_tag_plan, drops_a_shared_interferer_starting_past_the_horizon)
+{
+    // A soak of one or two short rounds measures a horizon that ends before
+    // the interferer's absolute start: the plan drops the event (it could
+    // overlap no frame) instead of failing the schedule.
+    multi_tag_config cfg = plan_config();
+    cfg.horizon_s = 4e-3;
+    cfg.interferer_start_s = 10e-3;
+    const multi_tag_plan late(cfg, 3, 1, 9);
+    EXPECT_TRUE(late.shared().events().empty());
+    cfg.interferer_start_s = cfg.horizon_s;
+    EXPECT_TRUE(multi_tag_plan(cfg, 3, 1, 9).shared().events().empty());
+
+    cfg.interferer_start_s = 1e-3; // starts inside: kept, even if it outlasts
+    const multi_tag_plan inside(cfg, 3, 1, 9);
+    ASSERT_EQ(inside.shared().events().size(), 1u);
+    EXPECT_DOUBLE_EQ(inside.shared().events().front().start_s, 1e-3);
+}
+
 TEST(multi_tag_plan, rejects_degenerate_configurations)
 {
     EXPECT_THROW(multi_tag_plan(plan_config(), 4, 5, 1), std::invalid_argument)

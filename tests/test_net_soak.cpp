@@ -48,7 +48,7 @@ void kill_tag(network_supervisor& sup, std::uint32_t tag)
 
 TEST(network_supervisor, conserves_the_slot_budget_when_tags_die)
 {
-    network_supervisor sup(supervisor_config{}, {0, 1, 2, 3, 4, 5});
+    network_supervisor sup(supervisor_config{}, 6);
     EXPECT_EQ(total_slots(sup.plan_round()), 6u) << "default budget = tag count";
 
     kill_tag(sup, 0);
@@ -68,7 +68,7 @@ TEST(network_supervisor, rotates_the_remainder_across_the_population)
 {
     supervisor_config cfg;
     cfg.slot_budget = 3; // 5 tags, 3 slots: every round leaves 2 tags out
-    network_supervisor sup(cfg, {0, 1, 2, 3, 4});
+    network_supervisor sup(cfg, 5);
 
     std::vector<std::size_t> granted(5, 0);
     for (std::size_t round = 0; round < 10; ++round) {
@@ -85,7 +85,7 @@ TEST(network_supervisor, rotates_the_remainder_across_the_population)
 
 TEST(network_supervisor, marks_degraded_sessions_robust)
 {
-    network_supervisor sup(supervisor_config{}, {0, 1, 2});
+    network_supervisor sup(supervisor_config{}, 3);
     auto plan = sup.plan_round();
     sup.record_data(0, false);
     sup.record_data(1, true);
@@ -106,7 +106,7 @@ TEST(network_supervisor, probes_and_readmits_a_quarantined_tag)
     obs::metrics_registry metrics;
     supervisor_config cfg;
     cfg.metrics = &metrics;
-    network_supervisor sup(cfg, {0, 1});
+    network_supervisor sup(cfg, 2);
     kill_tag(sup, 0);
     EXPECT_EQ(sup.session(0).state(), session_state::quarantined);
 
@@ -132,7 +132,7 @@ TEST(network_supervisor, discards_outcomes_after_a_mid_round_quarantine)
     // (returning false), not throw.
     supervisor_config cfg;
     cfg.slot_budget = 6;
-    network_supervisor sup(cfg, {0, 1});
+    network_supervisor sup(cfg, 2);
     for (std::size_t round = 0; round < 2; ++round) {
         const auto plan = sup.plan_round();
         for (const auto& share : plan.shares) {

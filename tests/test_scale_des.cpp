@@ -1,11 +1,14 @@
 // Discrete-event engine determinism: identical seeds replay byte-identically
-// across --jobs 1 vs 8 (event logs, hashes, and emitted JSON), the event
-// queue breaks time ties by creation order, and the accounting invariants
-// (frame conservation, event counts) hold under faults.
+// across --jobs 1 vs 8 (event logs, hashes, and emitted JSON), events run in
+// (time, creation order) across cells, a pinned golden log guards the
+// engine's exact output, and the accounting invariants (frame conservation,
+// event counts) hold under faults.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <filesystem>
+#include <set>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -17,9 +20,6 @@
 namespace {
 
 using namespace mmtag;
-using scale::des_event;
-using scale::event_kind;
-using scale::event_queue;
 using scale::scale_config;
 using scale::scale_result;
 
@@ -52,44 +52,104 @@ scale_config small_config()
     return cfg;
 }
 
-TEST(ScaleDes, EventQueueBreaksTiesByCreationOrder)
+std::uint64_t fnv1a64(const std::string& text)
 {
-    event_queue queue;
-    // Fabricated tie: three events at the same instant, pushed after a
-    // later-time event to make heap order diverge from push order.
-    des_event late;
-    late.time_s = 2.0;
-    late.tag = 99;
-    queue.push(late);
-    for (std::uint32_t tag = 0; tag < 3; ++tag) {
-        des_event ev;
-        ev.time_s = 1.0;
-        ev.tag = tag;
-        ev.kind = event_kind::data_slot;
-        queue.push(ev);
+    std::uint64_t hash = 0xcbf29ce484222325ULL;
+    for (const unsigned char c : text) {
+        hash ^= c;
+        hash *= 0x100000001b3ULL;
     }
-    EXPECT_EQ(queue.size(), 4u);
-    for (std::uint32_t tag = 0; tag < 3; ++tag) {
-        const des_event ev = queue.pop();
-        EXPECT_DOUBLE_EQ(ev.time_s, 1.0);
-        EXPECT_EQ(ev.tag, tag); // creation order, not heap order
-    }
-    EXPECT_EQ(queue.pop().tag, 99u);
-    EXPECT_TRUE(queue.empty());
-    EXPECT_EQ(queue.pushed(), 4u);
+    return hash;
 }
 
-TEST(ScaleDes, EventQueueSequenceIsMonotonic)
+struct log_line {
+    std::uint64_t seq = 0;
+    double time_s = 0.0;
+    std::uint32_t ap = 0;
+    std::string kind;
+};
+
+std::vector<log_line> parse_log(const std::string& log)
 {
-    event_queue queue;
-    des_event ev;
-    ev.time_s = 5.0;
-    const std::uint64_t first = queue.push(ev);
-    ev.time_s = 3.0;
-    const std::uint64_t second = queue.push(ev);
-    EXPECT_LT(first, second);
-    EXPECT_EQ(queue.pop().seq, second); // earlier time pops first
-    EXPECT_EQ(queue.pop().seq, first);
+    std::vector<log_line> lines;
+    std::istringstream in(log);
+    std::string text;
+    while (std::getline(in, text)) {
+        std::istringstream fields(text);
+        log_line line;
+        fields >> line.seq >> line.time_s >> line.ap >> line.kind;
+        lines.push_back(line);
+    }
+    return lines;
+}
+
+TEST(ScaleDes, SimultaneousEventsAcrossCellsRunInCreationOrder)
+{
+    auto cfg = small_config();
+    cfg.trials = 1;
+    const scale_result r = scale::run_scale(cfg, 1, nullptr, shared_cache_dir());
+    ASSERT_EQ(r.event_logs.size(), 1u);
+    const auto lines = parse_log(r.event_logs[0]);
+    ASSERT_EQ(lines.size(), r.events);
+
+    // Both cells start at t = 0: their round_begins (created in cell order)
+    // run first, then each cell's first slot, again in creation order.
+    ASSERT_GE(lines.size(), 4u);
+    EXPECT_EQ(lines[0].seq, 0u);
+    EXPECT_EQ(lines[0].ap, 0u);
+    EXPECT_EQ(lines[0].kind, "round");
+    EXPECT_EQ(lines[1].seq, 1u);
+    EXPECT_EQ(lines[1].ap, 1u);
+    EXPECT_EQ(lines[1].kind, "round");
+    EXPECT_EQ(lines[2].ap, 0u);
+    EXPECT_EQ(lines[3].ap, 1u);
+    EXPECT_EQ(lines[3].time_s, 0.0);
+    EXPECT_LT(lines[2].seq, lines[3].seq);
+
+    // Along the whole log (time, seq) rises strictly, seq rises within each
+    // cell, and every sequence number runs exactly once.
+    std::set<std::uint64_t> seen;
+    std::vector<std::int64_t> last_seq(cfg.topology.ap_count, -1);
+    std::size_t cross_cell_ties = 0;
+    for (std::size_t i = 0; i < lines.size(); ++i) {
+        EXPECT_TRUE(seen.insert(lines[i].seq).second) << "seq " << lines[i].seq;
+        ASSERT_LT(lines[i].ap, cfg.topology.ap_count);
+        if (i > 0) {
+            const auto& prev = lines[i - 1];
+            EXPECT_TRUE(prev.time_s < lines[i].time_s ||
+                        (prev.time_s == lines[i].time_s && prev.seq < lines[i].seq))
+                << "line " << i;
+            if (prev.time_s == lines[i].time_s && prev.ap != lines[i].ap) ++cross_cell_ties;
+        }
+        const auto seq = static_cast<std::int64_t>(lines[i].seq);
+        EXPECT_LT(last_seq[lines[i].ap], seq) << "line " << i;
+        last_seq[lines[i].ap] = seq;
+    }
+    EXPECT_GE(cross_cell_ties, 2u);
+    ASSERT_FALSE(seen.empty());
+    EXPECT_EQ(*seen.rbegin(), r.events - 1);
+}
+
+TEST(ScaleDes, GoldenEventLogIsUnchanged)
+{
+    // Recorded from the engine's first (global event heap) implementation:
+    // any change to event order, sequence numbering, packet draws or the
+    // log line format moves these values.
+    const auto cfg = small_config();
+    const scale_result r = scale::run_scale(cfg, 1, nullptr, shared_cache_dir());
+    EXPECT_EQ(r.events, 1344u);
+    EXPECT_EQ(r.event_log_hash, 0xe160353b14ce9e48ULL);
+    ASSERT_EQ(r.event_logs.size(), cfg.trials);
+    const std::string& log = r.event_logs[0];
+    EXPECT_EQ(log.size(), 9906u);
+    EXPECT_EQ(fnv1a64(log), 0x8e60d0d1919bd03bULL);
+    const std::string head = "0 0.000000000 0 round 0 0 -1\n"
+                             "1 0.000000000 1 round 0 0 -1\n"
+                             "2 0.000000000 0 data 0 3 0\n"
+                             "24 0.000000000 1 data 3 2 1\n"
+                             "3 0.000072000 0 data 1 3 1\n"
+                             "25 0.000081600 1 data 4 3 1\n";
+    EXPECT_EQ(log.substr(0, head.size()), head);
 }
 
 TEST(ScaleDes, JobsDoNotChangeResults)

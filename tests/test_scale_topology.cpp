@@ -9,6 +9,7 @@
 
 #include "mmtag/core/config.hpp"
 #include "mmtag/core/link_budget.hpp"
+#include "mmtag/runtime/thread_pool.hpp"
 #include "mmtag/scale/topology.hpp"
 
 namespace {
@@ -51,6 +52,28 @@ TEST(ScaleTopology, PlacementIsDeterministic)
             EXPECT_EQ(a.tags[i].y_m, b.tags[i].y_m);
             EXPECT_EQ(a.tags[i].sinr_db, b.tags[i].sinr_db);
         }
+    }
+}
+
+TEST(ScaleTopology, PoolDeploymentIsBitIdentical)
+{
+    // The per-AP interference sums and per-tag SINRs run on the pool; each
+    // keeps its own summation order, so any pool size gives the serial
+    // deployment bit for bit.
+    const auto scenario = core::fast_scenario();
+    runtime::thread_pool pool(4);
+    for (const auto layout : {layout_kind::warehouse_grid, layout_kind::poisson_disc,
+                              layout_kind::clustered}) {
+        const auto cfg = base_config(layout, 400, 9);
+        const deployment serial = make_deployment(cfg, scenario);
+        const deployment pooled = make_deployment(cfg, scenario, pool);
+        ASSERT_EQ(serial.tags.size(), pooled.tags.size());
+        for (std::size_t i = 0; i < serial.tags.size(); ++i) {
+            EXPECT_EQ(serial.tags[i].ap, pooled.tags[i].ap);
+            EXPECT_EQ(serial.tags[i].distance_m, pooled.tags[i].distance_m);
+            EXPECT_EQ(serial.tags[i].sinr_db, pooled.tags[i].sinr_db) << "tag " << i;
+        }
+        EXPECT_EQ(serial.cells, pooled.cells);
     }
 }
 
