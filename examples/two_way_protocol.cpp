@@ -76,8 +76,8 @@ void transact(fleet& tags, ap::ap_transmitter& tx, ap::ap_receiver& rx,
             antenna = tags.channels[t].ap_received(query.rf, reaction.gamma);
             first = false;
         } else {
-            const cvec extra = tags.channels[t].tag_contribution(query.rf, reaction.gamma);
-            for (std::size_t i = 0; i < antenna.size(); ++i) antenna[i] += extra[i];
+            // The reflection spans the whole window, so it is one burst from 0.
+            tags.channels[t].add_tag_burst(antenna, query.rf, reaction.gamma, 0, 1.0);
         }
     }
 

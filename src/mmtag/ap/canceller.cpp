@@ -21,22 +21,20 @@ self_interference_canceller::self_interference_canceller(const config& cfg)
     }
 }
 
-cvec self_interference_canceller::process(std::span<const cf64> baseband)
+void self_interference_canceller::process(std::span<cf64> baseband)
 {
-    if (baseband.empty()) return {};
+    if (baseband.empty()) return;
     const double input_power = dsp::mean_power(baseband);
 
-    cvec out;
     switch (cfg_.mode) {
     case cancellation_mode::off:
-        out.assign(baseband.begin(), baseband.end());
         break;
     case cancellation_mode::dc_notch:
-        out = notch_.process(baseband);
+        notch_.process(baseband);
         break;
     case cancellation_mode::mean_subtract:
-        out = dsp::remove_mean(baseband);
-        out = notch_.process(out);
+        dsp::remove_mean(baseband);
+        notch_.process(baseband);
         break;
     case cancellation_mode::background_subtract: {
         const std::size_t skip = static_cast<std::size_t>(
@@ -67,21 +65,18 @@ cvec self_interference_canceller::process(std::span<const cf64> baseband)
             0.5 * static_cast<double>(tail_start + baseband.size());
         const double spread = std::max(tail_center - head_center, 1.0);
         background_ = head;
-        out.reserve(baseband.size());
         for (std::size_t i = 0; i < baseband.size(); ++i) {
             const double t = (static_cast<double>(i) - head_center) / spread;
-            const cf64 estimate = head + (tail - head) * t;
-            out.push_back(baseband[i] - estimate);
+            baseband[i] -= head + (tail - head) * t;
         }
         break;
     }
     }
 
-    const double output_power = dsp::mean_power(out);
+    const double output_power = dsp::mean_power(baseband);
     last_suppression_db_ = (input_power > 0.0 && output_power > 0.0)
                                ? to_db(output_power / input_power)
                                : 0.0;
-    return out;
 }
 
 } // namespace mmtag::ap

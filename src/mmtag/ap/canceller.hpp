@@ -8,6 +8,8 @@
 // static environment — and subtracts it everywhere. Unlike a DC notch this
 // removes none of the signal's own spectrum, and unlike a global mean it is
 // not biased by the frame's symbol imbalance.
+//
+// The canceller cleans the caller's baseband buffer in place.
 #pragma once
 
 #include <span>
@@ -42,7 +44,9 @@ public:
 
     explicit self_interference_canceller(const config& cfg);
 
-    [[nodiscard]] cvec process(std::span<const cf64> baseband);
+    /// Cancels the static interference in `baseband` in place. The input
+    /// power for last_suppression_db() is measured before the first write.
+    void process(std::span<cf64> baseband);
 
     /// Residual-to-input power ratio of the last process() call [dB];
     /// strongly negative numbers mean deep cancellation.

@@ -36,39 +36,34 @@ cvec ap_receiver::front_end(std::span<const cf64> antenna, std::span<const cf64>
     if (antenna.size() != lo.size()) {
         throw std::invalid_argument("ap_receiver: antenna/lo length mismatch");
     }
+    // One buffer for the whole chain: every stage transforms it in place.
     // Antenna-plane thermal noise, then the LNA (gain + excess noise).
-    cvec rf = antenna_noise_.apply(antenna);
-    rf = lna_.process(rf);
+    cvec samples(antenna.begin(), antenna.end());
+    antenna_noise_.add_to(samples);
+    lna_.process(samples);
 
     // Downconversion: the transmitter's LO (self-coherent) or a separate
     // synthesizer with its own CFO/phase noise (ablation mode).
-    cvec baseband;
     if (cfg_.lo == lo_mode::self_coherent) {
-        baseband = mixer_.downconvert(rf, lo);
+        mixer_.downconvert(samples, lo);
     } else {
         rf::oscillator::config lo_cfg;
         lo_cfg.sample_rate_hz = cfg_.sample_rate_hz;
         lo_cfg.frequency_offset_hz = cfg_.independent_cfo_hz;
         lo_cfg.linewidth_hz = cfg_.independent_linewidth_hz;
         rf::oscillator local(lo_cfg, lo_seed_ + ++captures_);
-        const cvec local_lo = local.generate(rf.size());
-        baseband = mixer_.downconvert(rf, local_lo);
+        mixer_.downconvert(samples, local.generate(samples.size()));
     }
 
     // Analog gain scales the composite signal into the ADC, then is divided
     // back out so downstream levels stay physical while quantization is
     // referred to the (interference-dominated) input.
-    const double rms = dsp::rms(baseband);
-    if (rms > 0.0) {
-        const double scale = cfg_.adc_loading * adc_.full_scale() / rms;
-        for (auto& x : baseband) x *= scale;
-        baseband = adc_.sample(baseband);
-        for (auto& x : baseband) x /= scale;
-    }
+    const double rms = dsp::rms(samples);
+    if (rms > 0.0) adc_.sample(samples, cfg_.adc_loading * adc_.full_scale() / rms);
 
-    cvec cleaned = canceller_.process(baseband);
+    canceller_.process(samples);
     if (suppression_db != nullptr) *suppression_db = canceller_.last_suppression_db();
-    return cleaned;
+    return samples;
 }
 
 reception ap_receiver::receive(std::span<const cf64> antenna, std::span<const cf64> lo)

@@ -1,6 +1,8 @@
 // AP receiver: antenna -> LNA -> self-coherent IQ downconversion -> ADC ->
 // self-interference cancellation -> symbol timing -> preamble sync ->
 // demodulation -> FEC decode. Produces link metrics alongside the payload.
+// The front end copies the capture once and runs every sample stage in that
+// one buffer.
 #pragma once
 
 #include <cstddef>
@@ -74,8 +76,9 @@ public:
     /// the transmitter's LO stream (self-coherent operation).
     [[nodiscard]] reception receive(std::span<const cf64> antenna, std::span<const cf64> lo);
 
-    /// Analog front end + cancellation only: returns the cleaned baseband.
-    /// Exposed for microbenchmarks (R8) and spectrum inspection.
+    /// Analog front end + cancellation only: returns the cleaned baseband, a
+    /// copy of `antenna` that noise, LNA, mixer, ADC and canceller transform
+    /// in place. Exposed for microbenchmarks (R8) and spectrum inspection.
     [[nodiscard]] cvec front_end(std::span<const cf64> antenna, std::span<const cf64> lo,
                                  double* suppression_db = nullptr);
 

@@ -38,7 +38,7 @@ ap_transmitter::query ap_transmitter::generate(std::size_t count)
     out.lo = lo_.generate(count);
     out.rf.reserve(count);
     for (cf64 lo_sample : out.lo) out.rf.push_back(drive_amplitude_ * lo_sample);
-    pa_.process_in_place(out.rf);
+    pa_.process(out.rf);
     return out;
 }
 
@@ -51,7 +51,7 @@ ap_transmitter::query ap_transmitter::generate_modulated(std::span<const double>
         const double level = std::clamp(envelope[i], 0.0, 1.0);
         out.rf.push_back(drive_amplitude_ * level * out.lo[i]);
     }
-    pa_.process_in_place(out.rf);
+    pa_.process(out.rf);
     return out;
 }
 

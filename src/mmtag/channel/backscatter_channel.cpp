@@ -130,22 +130,21 @@ cvec backscatter_channel::ap_received(std::span<const cf64> tx,
     return out;
 }
 
-cvec backscatter_channel::tag_contribution(std::span<const cf64> tx,
-                                           std::span<const cf64> tag_gamma) const
+void backscatter_channel::add_tag_burst(std::span<cf64> antenna, std::span<const cf64> tx,
+                                        std::span<const cf64> burst, std::size_t start,
+                                        double scale) const
 {
-    if (tag_gamma.empty()) {
-        throw std::invalid_argument("backscatter_channel: empty tag reflection waveform");
+    if (antenna.size() != tx.size()) {
+        throw std::invalid_argument("backscatter_channel: antenna/tx length mismatch");
     }
-    cvec out(tx.size(), cf64{});
-    const auto gamma_at = [&](std::size_t index) {
-        if (index >= tag_gamma.size()) return tag_gamma.back();
-        return tag_gamma[index];
-    };
+    // Tag time j reaches the AP at k = j + d1 and reflects TX sample k - d_rt.
+    const std::size_t first = std::max(start + one_way_delay_, round_trip_delay_);
+    const std::size_t end = std::min(start + burst.size() + one_way_delay_, tx.size());
     const cf64 tag_gain = round_trip_amplitude_ * fading_;
-    for (std::size_t k = round_trip_delay_; k < tx.size(); ++k) {
-        out[k] = tag_gain * gamma_at(k - one_way_delay_) * tx[k - round_trip_delay_];
+    for (std::size_t k = first; k < end; ++k) {
+        const cf64 gamma = burst[k - one_way_delay_ - start] * scale;
+        antenna[k] += tag_gain * gamma * tx[k - round_trip_delay_];
     }
-    return out;
 }
 
 double backscatter_channel::static_interference_power(double tx_power_w) const

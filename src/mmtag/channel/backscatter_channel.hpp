@@ -117,10 +117,14 @@ public:
     [[nodiscard]] cvec ap_received(std::span<const cf64> tx,
                                    std::span<const cf64> tag_gamma) const;
 
-    /// Only the tag-path term of ap_received (no leakage/clutter): used to
-    /// superpose several tags' reflections onto one environment.
-    [[nodiscard]] cvec tag_contribution(std::span<const cf64> tx,
-                                        std::span<const cf64> tag_gamma) const;
+    /// Adds one burst's tag-path term of ap_received (no leakage/clutter)
+    /// into the caller's `antenna` buffer, which holds the samples of `tx`'s
+    /// timeline: used to superpose several tags' reflections onto one
+    /// environment. The tag reflects `burst[i] * scale` at tag time
+    /// `start + i` and nothing outside the burst, so only the samples the
+    /// burst reaches are touched.
+    void add_tag_burst(std::span<cf64> antenna, std::span<const cf64> tx,
+                       std::span<const cf64> burst, std::size_t start, double scale) const;
 
     /// Static (unmodulated) interference power [W] for a unit-power query:
     /// leakage plus all clutter returns.

@@ -136,15 +136,8 @@ std::vector<burst_outcome> multitag_simulator::run(const std::vector<tag_burst>&
                 clock_s_ + bursts[b].start_s, frames[b].duration_s);
             burst_scale *= imp.tag_power_scale();
         }
-        cvec gamma(capture, cf64{});
-        const std::size_t start = starts[b] + lead;
-        const auto& wave = frames[b].gamma;
-        for (std::size_t i = 0; i < wave.size() && start + i < capture; ++i) {
-            gamma[start + i] = wave[i] * burst_scale;
-        }
-        const cvec contribution =
-            channels_[bursts[b].tag_index].tag_contribution(query.rf, gamma);
-        for (std::size_t i = 0; i < capture; ++i) antenna[i] += contribution[i];
+        channels_[bursts[b].tag_index].add_tag_burst(antenna, query.rf, frames[b].gamma,
+                                                     starts[b] + lead, burst_scale);
     }
 
     // The interferer is referenced to the strongest tag's round-trip return.

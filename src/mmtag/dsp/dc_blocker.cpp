@@ -11,32 +11,23 @@ dc_blocker::dc_blocker(double pole) : pole_(pole)
     }
 }
 
-cf64 dc_blocker::process(cf64 input)
+void dc_blocker::process(std::span<cf64> buffer)
 {
-    const cf64 output = input - previous_input_ + pole_ * previous_output_;
-    previous_input_ = input;
-    previous_output_ = output;
-    return output;
+    for (cf64& x : buffer) {
+        const cf64 input = x;
+        x = input - previous_input_ + pole_ * previous_output_;
+        previous_input_ = input;
+        previous_output_ = x;
+    }
 }
 
-cvec dc_blocker::process(std::span<const cf64> input)
+void remove_mean(std::span<cf64> buffer)
 {
-    cvec out;
-    out.reserve(input.size());
-    for (cf64 x : input) out.push_back(process(x));
-    return out;
-}
-
-cvec remove_mean(std::span<const cf64> input)
-{
-    if (input.empty()) return {};
+    if (buffer.empty()) return;
     cf64 mean{};
-    for (cf64 x : input) mean += x;
-    mean /= static_cast<double>(input.size());
-    cvec out;
-    out.reserve(input.size());
-    for (cf64 x : input) out.push_back(x - mean);
-    return out;
+    for (cf64 x : buffer) mean += x;
+    mean /= static_cast<double>(buffer.size());
+    for (cf64& x : buffer) x -= mean;
 }
 
 } // namespace mmtag::dsp

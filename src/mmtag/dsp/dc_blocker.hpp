@@ -1,6 +1,7 @@
 // Single-pole DC removal filter — the first stage of self-interference
 // suppression at the AP (unmodulated leakage lands exactly at DC after
-// self-coherent downconversion).
+// self-coherent downconversion). Both filters work on the caller's buffer in
+// place.
 #pragma once
 
 #include <span>
@@ -15,8 +16,8 @@ class dc_blocker {
 public:
     explicit dc_blocker(double pole = 0.999);
 
-    [[nodiscard]] cf64 process(cf64 input);
-    [[nodiscard]] cvec process(std::span<const cf64> input);
+    /// Filters a buffer in place; the filter state carries across calls.
+    void process(std::span<cf64> buffer);
 
 private:
     double pole_;
@@ -24,7 +25,8 @@ private:
     cf64 previous_output_{};
 };
 
-/// Subtracts the buffer mean (block DC estimate) — the non-streaming variant.
-[[nodiscard]] cvec remove_mean(std::span<const cf64> input);
+/// Subtracts the buffer mean (block DC estimate) in place — the
+/// non-streaming variant.
+void remove_mean(std::span<cf64> buffer);
 
 } // namespace mmtag::dsp

@@ -24,12 +24,9 @@ cf64 adc::sample(cf64 input) const
     return {quantize_rail(input.real()), quantize_rail(input.imag())};
 }
 
-cvec adc::sample(std::span<const cf64> input) const
+void adc::sample(std::span<cf64> buffer, double gain) const
 {
-    cvec out;
-    out.reserve(input.size());
-    for (cf64 x : input) out.push_back(sample(x));
-    return out;
+    for (cf64& x : buffer) x = sample(x * gain) / gain;
 }
 
 } // namespace mmtag::rf

@@ -1,4 +1,5 @@
 // ADC model: full-scale clipping + uniform mid-rise quantization on I and Q.
+// The buffer operation quantizes the caller's samples in place.
 #pragma once
 
 #include <cstdint>
@@ -21,7 +22,11 @@ public:
     [[nodiscard]] double full_scale() const { return cfg_.full_scale; }
 
     [[nodiscard]] cf64 sample(cf64 input) const;
-    [[nodiscard]] cvec sample(std::span<const cf64> input) const;
+
+    /// Quantizes a buffer in place behind an analog gain: each sample
+    /// becomes sample(x * gain) / gain, so levels stay at the input plane
+    /// while quantization is referred to the converter's full scale.
+    void sample(std::span<cf64> buffer, double gain) const;
 
 private:
     [[nodiscard]] double quantize_rail(double value) const;

@@ -24,18 +24,12 @@ double lna::input_referred_noise_power() const
            thermal_noise_power(cfg_.bandwidth_hz, cfg_.temperature_kelvin);
 }
 
-cf64 lna::process(cf64 input)
+void lna::process(std::span<cf64> buffer)
 {
-    const cf64 noise{noise_sigma_ * gaussian_.normal(), noise_sigma_ * gaussian_.normal()};
-    return voltage_gain_ * (input + noise);
-}
-
-cvec lna::process(std::span<const cf64> input)
-{
-    cvec out;
-    out.reserve(input.size());
-    for (cf64 x : input) out.push_back(process(x));
-    return out;
+    for (cf64& x : buffer) {
+        const cf64 noise{noise_sigma_ * gaussian_.normal(), noise_sigma_ * gaussian_.normal()};
+        x = voltage_gain_ * (x + noise);
+    }
 }
 
 power_amplifier::power_amplifier(const config& cfg) : cfg_(cfg)
@@ -61,14 +55,7 @@ cf64 power_amplifier::process(cf64 input) const
     return input * scale(amplitude);
 }
 
-cvec power_amplifier::process(std::span<const cf64> input) const
-{
-    cvec out(input.begin(), input.end());
-    process_in_place(out);
-    return out;
-}
-
-void power_amplifier::process_in_place(std::span<cf64> buffer) const
+void power_amplifier::process(std::span<cf64> buffer) const
 {
     double last_amplitude = -1.0;
     double last_scale = 0.0;

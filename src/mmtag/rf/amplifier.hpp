@@ -1,5 +1,6 @@
 // Amplifier models: linear gain + additive noise referred to the input (LNA)
-// and Rapp soft-saturation nonlinearity (PA).
+// and Rapp soft-saturation nonlinearity (PA). Both amplify the caller's
+// buffer in place.
 #pragma once
 
 #include <span>
@@ -25,8 +26,8 @@ public:
     /// Added-noise power at the *input* reference plane [W].
     [[nodiscard]] double input_referred_noise_power() const;
 
-    [[nodiscard]] cf64 process(cf64 input);
-    [[nodiscard]] cvec process(std::span<const cf64> input);
+    /// Amplifies a buffer in place, drawing the I then Q noise per sample.
+    void process(std::span<cf64> buffer);
 
 private:
     config cfg_;
@@ -49,12 +50,11 @@ public:
     explicit power_amplifier(const config& cfg);
 
     [[nodiscard]] cf64 process(cf64 input) const;
-    [[nodiscard]] cvec process(std::span<const cf64> input) const;
 
-    /// process() over a buffer in place, bit-identical to it per sample. The
-    /// Rapp scale is recomputed only when the exact input amplitude changes,
-    /// which for a constant-envelope drive is rare.
-    void process_in_place(std::span<cf64> buffer) const;
+    /// Amplifies a buffer in place, bit-identical to process(cf64) per
+    /// sample. The Rapp scale is recomputed only when the exact input
+    /// amplitude changes, which for a constant-envelope drive is rare.
+    void process(std::span<cf64> buffer) const;
 
 private:
     /// Output/input amplitude ratio for an input amplitude >= 1e-30.

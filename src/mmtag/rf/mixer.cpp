@@ -32,15 +32,12 @@ cf64 quadrature_mixer::downconvert(cf64 rf, cf64 lo) const
     return apply_iq_imbalance(mixed + leakage);
 }
 
-cvec quadrature_mixer::downconvert(std::span<const cf64> rf, std::span<const cf64> lo) const
+void quadrature_mixer::downconvert(std::span<cf64> rf, std::span<const cf64> lo) const
 {
     if (rf.size() != lo.size()) {
         throw std::invalid_argument("quadrature_mixer: rf/lo length mismatch");
     }
-    cvec out;
-    out.reserve(rf.size());
-    for (std::size_t i = 0; i < rf.size(); ++i) out.push_back(downconvert(rf[i], lo[i]));
-    return out;
+    for (std::size_t i = 0; i < rf.size(); ++i) rf[i] = downconvert(rf[i], lo[i]);
 }
 
 } // namespace mmtag::rf

@@ -1,6 +1,7 @@
 // Quadrature mixer model: ideal complex multiply plus the practical
 // impairments that matter at mmWave — conversion loss, LO leakage (the DC
-// offset the canceller must handle), and I/Q gain & phase imbalance.
+// offset the canceller must handle), and I/Q gain & phase imbalance. The
+// buffer operation downconverts the caller's samples in place.
 #pragma once
 
 #include <span>
@@ -23,7 +24,8 @@ public:
     /// Downconverts: output = rf * conj(lo) with impairments applied.
     [[nodiscard]] cf64 downconvert(cf64 rf, cf64 lo) const;
 
-    [[nodiscard]] cvec downconvert(std::span<const cf64> rf, std::span<const cf64> lo) const;
+    /// Downconverts a buffer in place: rf[i] becomes downconvert(rf[i], lo[i]).
+    void downconvert(std::span<cf64> rf, std::span<const cf64> lo) const;
 
 private:
     [[nodiscard]] cf64 apply_iq_imbalance(cf64 x) const;

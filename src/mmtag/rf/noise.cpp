@@ -23,11 +23,4 @@ void awgn_source::add_to(std::span<cf64> buffer)
     for (auto& x : buffer) x += cf64{sigma * gaussian_.normal(), sigma * gaussian_.normal()};
 }
 
-cvec awgn_source::apply(std::span<const cf64> input)
-{
-    cvec out(input.begin(), input.end());
-    add_to(out);
-    return out;
-}
-
 } // namespace mmtag::rf

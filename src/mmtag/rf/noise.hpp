@@ -17,11 +17,8 @@ class awgn_source {
 public:
     awgn_source(double power_watt, std::uint64_t seed);
 
-    /// Adds noise in place to a buffer.
+    /// Adds noise to the caller's buffer in place (I then Q draw per sample).
     void add_to(std::span<cf64> buffer);
-
-    /// Returns a noisy copy.
-    [[nodiscard]] cvec apply(std::span<const cf64> input);
 
 private:
     double power_;

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <stdexcept>
+
 #include "mmtag/channel/atmosphere.hpp"
 #include "mmtag/channel/backscatter_channel.hpp"
 #include "mmtag/channel/fading.hpp"
@@ -147,6 +150,49 @@ TEST_F(backscatter_channel_fixture, modulated_tag_reaches_receiver)
     for (std::size_t i = 10; i < n; ++i) max_dev = std::max(max_dev, std::abs(rx[i] - rx[9]));
     const double tag_amplitude = chan.round_trip_amplitude(); // LOS: unit fading
     EXPECT_NEAR(max_dev, 2.0 * tag_amplitude, 0.2 * tag_amplitude);
+}
+
+TEST_F(backscatter_channel_fixture, tag_burst_adds_only_the_samples_it_reaches)
+{
+    auto cfg = base_config();
+    cfg.clutter = {{3.0, 1.0}};
+    const backscatter_channel chan(cfg);
+    const std::size_t n = 600;
+    cvec tx(n);
+    for (std::size_t i = 0; i < n; ++i) tx[i] = std::polar(1.0, 0.01 * static_cast<double>(i));
+    cvec burst(100);
+    for (std::size_t i = 0; i < burst.size(); ++i) {
+        burst[i] = (i / 10) % 2 == 0 ? cf64{-1.0, 0.0} : cf64{0.3, 0.4};
+    }
+
+    for (const std::size_t start : {std::size_t{0}, std::size_t{250}, std::size_t{550}}) {
+        // Reference: the tag term of ap_received with the burst padded by an
+        // absorptive tag to the whole window.
+        cvec padded(n, cf64{});
+        for (std::size_t i = 0; i < burst.size() && start + i < n; ++i) {
+            padded[start + i] = burst[i] * 0.5;
+        }
+        const cvec with_tag = chan.ap_received(tx, padded);
+        const cvec without_tag = chan.ap_received(tx, cvec(n, cf64{}));
+
+        const cf64 untouched{7.0, -7.0};
+        cvec antenna(n, untouched);
+        chan.add_tag_burst(antenna, tx, burst, start, 0.5);
+        const std::size_t first = std::max(start + chan.one_way_delay_samples(),
+                                           2 * chan.one_way_delay_samples());
+        const std::size_t end = start + burst.size() + chan.one_way_delay_samples();
+        for (std::size_t k = 0; k < n; ++k) {
+            if (k < first || k >= end) {
+                EXPECT_EQ(antenna[k], untouched) << "start " << start << " k " << k;
+                continue;
+            }
+            const cf64 expected = with_tag[k] - without_tag[k];
+            EXPECT_NEAR(std::abs(antenna[k] - untouched - expected), 0.0, 1e-12)
+                << "start " << start << " k " << k;
+        }
+    }
+    cvec short_antenna(n - 1);
+    EXPECT_THROW(chan.add_tag_burst(short_antenna, tx, burst, 0, 1.0), std::invalid_argument);
 }
 
 TEST_F(backscatter_channel_fixture, clutter_adds_static_interference)

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "mmtag/dsp/estimators.hpp"
 #include "mmtag/rf/adc.hpp"
 #include "mmtag/rf/amplifier.hpp"
@@ -93,8 +95,9 @@ TEST(lna, small_signal_gain)
     cfg.noise_figure_db = 0.01; // effectively noiseless
     cfg.bandwidth_hz = 1e6;
     lna amplifier(cfg, 17);
-    const cf64 out = amplifier.process(cf64{1e-3, 0.0});
-    EXPECT_NEAR(std::abs(out), 1e-2, 1e-4);
+    cvec samples{cf64{1e-3, 0.0}};
+    amplifier.process(samples);
+    EXPECT_NEAR(std::abs(samples.front()), 1e-2, 1e-4);
 }
 
 TEST(lna, output_noise_matches_noise_figure)
@@ -104,18 +107,19 @@ TEST(lna, output_noise_matches_noise_figure)
     cfg.noise_figure_db = 6.0;
     cfg.bandwidth_hz = 1e9;
     lna amplifier(cfg, 19);
-    cvec zeros(100000, cf64{});
-    const cvec out = amplifier.process(zeros);
-    const double measured = dsp::mean_power(out);
+    cvec samples(100000, cf64{});
+    amplifier.process(samples);
+    const double measured = dsp::mean_power(samples);
     const double expected = (from_db(6.0) - 1.0) * thermal_noise_power(1e9) * from_db(30.0);
     EXPECT_NEAR(measured / expected, 1.0, 0.05);
 }
 
-// Output power [dBm] of a CW drive at `input_dbm` through process(span).
+// Output power [dBm] of a CW drive at `input_dbm` through the buffer path.
 double cw_output_dbm(const power_amplifier& pa, double input_dbm)
 {
-    const cvec drive(16, cf64{std::sqrt(dbm_to_watt(input_dbm)), 0.0});
-    return watt_to_dbm(dsp::mean_power(pa.process(drive)));
+    cvec drive(16, cf64{std::sqrt(dbm_to_watt(input_dbm)), 0.0});
+    pa.process(drive);
+    return watt_to_dbm(dsp::mean_power(drive));
 }
 
 TEST(pa, linear_region_gain)
@@ -165,8 +169,8 @@ TEST(pa, preserves_phase)
     // The buffer path reuses the Rapp scale while the amplitude repeats; it
     // must match the per-sample path bit for bit, zero amplitude included.
     const cvec drive{in, in, std::polar(0.7, -0.4), cf64{}, std::polar(0.7, 2.0), in};
-    const cvec amplified = pa.process(drive);
-    ASSERT_EQ(amplified.size(), drive.size());
+    cvec amplified = drive;
+    pa.process(amplified);
     for (std::size_t i = 0; i < drive.size(); ++i) EXPECT_EQ(amplified[i], pa.process(drive[i]));
 }
 
@@ -181,6 +185,23 @@ TEST(mixer, ideal_downconversion_conjugates_lo)
     const cf64 bb = mixer.downconvert(rf, lo);
     EXPECT_NEAR(std::abs(bb), 2.0, 1e-9);
     EXPECT_NEAR(std::arg(bb), 0.5, 1e-9);
+}
+
+TEST(mixer, buffer_path_matches_per_sample)
+{
+    quadrature_mixer::config cfg;
+    cfg.iq_gain_imbalance_db = 0.5;
+    cfg.iq_phase_imbalance_deg = 2.0;
+    quadrature_mixer mixer(cfg);
+    const cvec rf{std::polar(2.0, 1.4), cf64{}, std::polar(0.3, -2.0)};
+    const cvec lo{std::polar(1.0, 0.9), std::polar(1.0, 0.1), cf64{0.5, 0.0}};
+    cvec baseband = rf;
+    mixer.downconvert(baseband, lo);
+    for (std::size_t i = 0; i < rf.size(); ++i) {
+        EXPECT_EQ(baseband[i], mixer.downconvert(rf[i], lo[i]));
+    }
+    cvec short_rf(2);
+    EXPECT_THROW(mixer.downconvert(short_rf, lo), std::invalid_argument);
 }
 
 TEST(mixer, conversion_loss_applies)
@@ -237,6 +258,18 @@ TEST(adc, quantization_noise_tracks_bits)
     const double sqnr8 = sqnr_for_bits(8);
     const double sqnr12 = sqnr_for_bits(12);
     EXPECT_NEAR(sqnr12 - sqnr8, 24.0, 3.0); // ~6 dB per bit
+}
+
+TEST(adc, buffer_path_quantizes_behind_the_gain)
+{
+    adc converter(adc::config{});
+    const cvec input{cf64{1e-3, -2e-3}, cf64{}, cf64{4e-3, 1e-4}};
+    const double gain = 180.0;
+    cvec samples = input;
+    converter.sample(samples, gain);
+    for (std::size_t i = 0; i < input.size(); ++i) {
+        EXPECT_EQ(samples[i], converter.sample(input[i] * gain) / gain);
+    }
 }
 
 TEST(adc, clips_beyond_full_scale)
