@@ -172,8 +172,10 @@ void link_simulator::set_rate(phy::modulation scheme, phy::fec_mode fec)
     cfg_.modulator.frame.scheme = scheme;
     cfg_.modulator.frame.fec = fec;
     cfg_.receiver.frame = cfg_.modulator.frame;
+    // Only the modulator is rebuilt. The receiver reads scheme and FEC from
+    // each frame's header, and rebuilding it would restart its noise streams
+    // from the construction seed, replaying the first frame's noise.
     modulator_ = tag::backscatter_modulator(cfg_.modulator);
-    receiver_ = ap::ap_receiver(cfg_.receiver, cfg_.seed * 104729 + 2);
 }
 
 } // namespace mmtag::core

@@ -43,6 +43,7 @@ public:
 
     /// Switches the live (modulation, FEC) pair — the hook rate adaptation
     /// and the link supervisor's MCS fallback drive mid-session.
+    /// The receiver keeps running: it reads scheme and FEC from each header.
     void set_rate(phy::modulation scheme, phy::fec_mode fec);
 
     struct frame_result {

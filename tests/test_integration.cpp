@@ -26,6 +26,32 @@ TEST(integration, frame_delivered_at_two_meters)
     EXPECT_GT(result.tag_energy_j, 0.0);
 }
 
+TEST(integration, rate_switch_keeps_the_receiver_noise_running)
+{
+    // A round trip through another MCS must not replay the first frame's
+    // antenna and LNA noise: the second frame of a switched simulator
+    // matches the second frame of one that never switched.
+    const auto cfg = fast_scenario();
+    link_simulator switched(cfg);
+    link_simulator steady(cfg);
+    const auto first = phy::random_bytes(24, 1);
+    (void)switched.run_frame(first);
+    (void)steady.run_frame(first);
+
+    const auto base = cfg.modulator.frame;
+    ASSERT_NE(base.scheme, phy::modulation::bpsk);
+    switched.set_rate(phy::modulation::bpsk, phy::fec_mode::uncoded);
+    switched.set_rate(base.scheme, base.fec);
+
+    const auto second = phy::random_bytes(24, 2);
+    const auto a = switched.run_frame(second);
+    const auto b = steady.run_frame(second);
+    EXPECT_EQ(a.rx.snr_db, b.rx.snr_db);
+    EXPECT_EQ(a.rx.suppression_db, b.rx.suppression_db);
+    EXPECT_TRUE(a.rx.symbols == b.rx.symbols);
+    EXPECT_EQ(a.delivered, b.delivered);
+}
+
 TEST(integration, error_free_over_many_frames_at_short_range)
 {
     link_simulator sim(fast_scenario());
