@@ -8,6 +8,8 @@
 #include <fstream>
 #include <mutex>
 
+#include "mmtag/runtime/result_writer.hpp"
+
 namespace mmtag::obs {
 
 namespace {
@@ -64,29 +66,6 @@ void append(trace_event event)
         t_buffer.head = (t_buffer.head + 1) % t_buffer.capacity;
         ++t_buffer.dropped;
     }
-}
-
-void escape_into(std::string& out, const std::string& text)
-{
-    out += '"';
-    for (const char c : text) {
-        switch (c) {
-        case '"': out += "\\\""; break;
-        case '\\': out += "\\\\"; break;
-        case '\n': out += "\\n"; break;
-        case '\r': out += "\\r"; break;
-        case '\t': out += "\\t"; break;
-        default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buffer[8];
-                std::snprintf(buffer, sizeof buffer, "\\u%04x", c);
-                out += buffer;
-            } else {
-                out += c;
-            }
-        }
-    }
-    out += '"';
 }
 
 } // namespace
@@ -192,9 +171,9 @@ std::string tracer::to_json()
         out += first ? "\n" : ",\n";
         first = false;
         out += "{\"name\": ";
-        escape_into(out, event.name);
+        runtime::append_json_string(out, event.name);
         out += ", \"cat\": ";
-        escape_into(out, event.category);
+        runtime::append_json_string(out, event.category);
         out += ", \"ph\": \"";
         out += event.phase;
         out += "\", \"ts\": ";

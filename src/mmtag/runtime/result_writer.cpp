@@ -135,9 +135,7 @@ const std::string& json_value::as_string() const
     return string_;
 }
 
-namespace {
-
-void escape_into(std::string& out, const std::string& text)
+void append_json_string(std::string& out, std::string_view text)
 {
     out += '"';
     for (const char c : text) {
@@ -159,6 +157,8 @@ void escape_into(std::string& out, const std::string& text)
     }
     out += '"';
 }
+
+namespace {
 
 // Shortest decimal that round-trips, so 0.1 prints as "0.1" not
 // "0.10000000000000001" — and identically on every run, which the
@@ -207,7 +207,7 @@ void json_value::dump_to(std::string& out, int indent, int depth) const
         out += buffer;
         break;
     }
-    case kind::string: escape_into(out, string_); break;
+    case kind::string: append_json_string(out, string_); break;
     case kind::array: {
         if (items_.empty()) {
             out += "[]";
@@ -232,7 +232,7 @@ void json_value::dump_to(std::string& out, int indent, int depth) const
         for (std::size_t i = 0; i < members_.size(); ++i) {
             if (i != 0) out += ',';
             newline_indent(out, indent, depth + 1);
-            escape_into(out, members_[i].first);
+            append_json_string(out, members_[i].first);
             out += indent > 0 ? ": " : ":";
             members_[i].second.dump_to(out, indent, depth + 1);
         }

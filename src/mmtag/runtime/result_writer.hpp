@@ -33,6 +33,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -111,6 +112,10 @@ private:
     std::vector<json_value> items_;
     std::vector<std::pair<std::string, json_value>> members_;
 };
+
+/// Appends `text` to `out` as a quoted, escaped JSON string: the escaping
+/// json_value::dump() and the trace writer share.
+void append_json_string(std::string& out, std::string_view text);
 
 /// Collects one bench's sweep results and writes BENCH_<id>.json.
 class result_writer {

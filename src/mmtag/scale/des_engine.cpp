@@ -56,15 +56,6 @@ struct cell_events {
 constexpr std::size_t probe_payload_bytes = 4;
 constexpr double interferer_floor_db = -300.0;
 
-std::uint64_t fnv1a64_line(std::uint64_t hash, const char* text, std::size_t length)
-{
-    for (std::size_t i = 0; i < length; ++i) {
-        hash ^= static_cast<unsigned char>(text[i]);
-        hash *= 0x100000001b3ULL;
-    }
-    return hash;
-}
-
 /// Writes `ev`'s log line — the bytes printf("%llu %.9f %u %s %u %u %d\n")
 /// would produce (std::to_chars in fixed format with a precision is
 /// specified as printf's %.*f) — into `out` and returns its length. Each
@@ -192,7 +183,7 @@ scale_trial_result run_scale_trial(const scale_config& cfg, const deployment& to
     scale_trial_result result;
     result.attempts_per_tag.assign(n, 0);
     result.delivered_per_tag.assign(n, 0);
-    result.event_log_hash = 0xcbf29ce484222325ULL;
+    result.event_log_hash = fnv1a64_offset;
 
     obs::histogram* sinr_hist =
         metrics != nullptr
@@ -343,7 +334,7 @@ scale_trial_result run_scale_trial(const scale_config& cfg, const deployment& to
         refresh_head(next);
 
         const std::size_t length = format_event_line(ev, outcome, line);
-        result.event_log_hash = fnv1a64_line(result.event_log_hash, line, length);
+        result.event_log_hash = fnv1a64({line, length}, result.event_log_hash);
         if (cfg.record_event_log) result.event_log.append(line, length);
     }
 
@@ -478,7 +469,7 @@ scale_result run_scale(const scale_config& cfg, std::size_t jobs,
     result.phy_table_path = cache.path;
     result.attempts_per_tag.assign(topo.tags.size(), 0);
     result.delivered_per_tag.assign(topo.tags.size(), 0);
-    result.event_log_hash = 0xcbf29ce484222325ULL;
+    result.event_log_hash = fnv1a64_offset;
     std::uint64_t latency_sum = 0;
     for (const auto& trial : trials) {
         for (std::size_t t = 0; t < topo.tags.size(); ++t) {

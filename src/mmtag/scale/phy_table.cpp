@@ -63,16 +63,6 @@ namespace {
 
 constexpr const char* schema_name = "mmtag.phy_table/1";
 
-std::uint64_t fnv1a64(const std::string& text)
-{
-    std::uint64_t hash = 0xcbf29ce484222325ULL;
-    for (const char c : text) {
-        hash ^= static_cast<unsigned char>(c);
-        hash *= 0x100000001b3ULL;
-    }
-    return hash;
-}
-
 std::string hex16(std::uint64_t value)
 {
     char buffer[20];

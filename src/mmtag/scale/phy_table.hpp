@@ -22,6 +22,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "mmtag/ap/rate_adaptation.hpp"
@@ -38,6 +39,20 @@ namespace mmtag::scale {
 /// tables from revision 1 (standard-library normal draws) carry no revision
 /// field.
 inline constexpr std::uint64_t phy_model_revision = 2;
+
+inline constexpr std::uint64_t fnv1a64_offset = 0xcbf29ce484222325ULL;
+
+/// 64-bit FNV-1a of `text`, continuing from `hash`: the table fingerprint
+/// hashes a parameter document, the DES event-log hash runs line by line.
+[[nodiscard]] constexpr std::uint64_t fnv1a64(std::string_view text,
+                                              std::uint64_t hash = fnv1a64_offset)
+{
+    for (const char c : text) {
+        hash ^= static_cast<unsigned char>(c);
+        hash *= 0x100000001b3ULL;
+    }
+    return hash;
+}
 
 struct phy_table_config {
     core::system_config scenario = core::fast_scenario();

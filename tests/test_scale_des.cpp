@@ -52,15 +52,7 @@ scale_config small_config()
     return cfg;
 }
 
-std::uint64_t fnv1a64(const std::string& text)
-{
-    std::uint64_t hash = 0xcbf29ce484222325ULL;
-    for (const unsigned char c : text) {
-        hash ^= c;
-        hash *= 0x100000001b3ULL;
-    }
-    return hash;
-}
+using scale::fnv1a64;
 
 struct log_line {
     std::uint64_t seq = 0;
