@@ -39,7 +39,7 @@ int main(int argc, char** argv)
 
         // Probe SNR with the robust rate, then adapt.
         const auto probe = run_at(cfg, phy::modulation::qpsk, phy::fec_mode::conv_half, 3);
-        const auto option = adapter.select(probe.mean_snr_db);
+        const auto& option = ap::rate_table()[adapter.select_index(probe.mean_snr_db)];
         const auto adaptive = run_at(cfg, option.scheme, option.fec, 8);
         const auto fixed_robust =
             run_at(cfg, phy::modulation::qpsk, phy::fec_mode::conv_half, 8);

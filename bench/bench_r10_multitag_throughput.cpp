@@ -140,10 +140,11 @@ throughput_aggregate sampled_trial(std::size_t tag_count, std::uint64_t seed)
         }
         std::vector<core::tag_burst> bursts;
         for (std::size_t slot = 0; slot < count; ++slot) {
-            bursts.push_back({first + slot,
-                              phy::random_bytes(kSampledPayloadBytes,
-                                                runtime::substream(seed, 2 + first + slot)),
-                              static_cast<double>(slot) * slot_s});
+            bursts.push_back({.tag_index = first + slot,
+                              .payload = phy::random_bytes(
+                                  kSampledPayloadBytes,
+                                  runtime::substream(seed, 2 + first + slot)),
+                              .start_s = static_cast<double>(slot) * slot_s});
         }
         first += count;
         const auto outcomes = sim.run(bursts);

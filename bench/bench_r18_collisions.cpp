@@ -25,8 +25,9 @@ int main(int argc, char** argv)
         core::multitag_simulator sim(base, tags);
         const double duration = sim.burst_duration_s(24);
         const double start1 = duration * (1.0 - overlap) + (overlap >= 1.0 ? 0.0 : 20e-6);
-        const auto outcomes = sim.run({{0, phy::random_bytes(24, 1), 0.0},
-                                       {1, phy::random_bytes(24, 2), start1}});
+        const auto outcomes =
+            sim.run({{.tag_index = 0, .payload = phy::random_bytes(24, 1), .start_s = 0.0},
+                     {.tag_index = 1, .payload = phy::random_bytes(24, 2), .start_s = start1}});
         overlap_table.add_row({bench::fmt("%.0f", overlap * 100.0),
                                outcomes[0].delivered ? "yes" : "no",
                                outcomes[1].delivered ? "yes" : "no"});
@@ -39,8 +40,9 @@ int main(int argc, char** argv)
     for (double far : {1.5, 2.0, 3.0, 4.0, 6.0}) {
         std::vector<core::tag_descriptor> tags{{0, 1.5, 0.0}, {1, far, 0.0}};
         core::multitag_simulator sim(base, tags);
-        const auto outcomes = sim.run({{0, phy::random_bytes(24, 3), 0.0},
-                                       {1, phy::random_bytes(24, 4), 0.0}});
+        const auto outcomes =
+            sim.run({{.tag_index = 0, .payload = phy::random_bytes(24, 3), .start_s = 0.0},
+                     {.tag_index = 1, .payload = phy::random_bytes(24, 4), .start_s = 0.0}});
         const double gap_db = 40.0 * std::log10(far / 1.5);
         capture_table.add_row({bench::fmt("%.1f", far), bench::fmt("%.1f", gap_db),
                                outcomes[0].delivered ? "yes" : "no",

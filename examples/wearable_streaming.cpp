@@ -49,7 +49,7 @@ int main(int argc, char** argv)
         core::link_simulator probe_sim(cfg);
         const auto probe = probe_sim.run_frame(phy::random_bytes(16, step));
         const double snr = probe.rx.frame_found ? probe.rx.snr_db : -10.0;
-        const auto option = adapter.select_smoothed(snr);
+        const auto& option = ap::rate_table()[adapter.select_smoothed(snr)];
 
         cfg.modulator.frame.scheme = option.scheme;
         cfg.modulator.frame.fec = option.fec;

@@ -91,7 +91,7 @@ void recovery_metrics::merge(const recovery_metrics& other)
 // the session's round backoff is pinned to one attempt because the wait
 // between probes is the time-based ARQ ladder below. tag_session rejects
 // outage_streak < 2 (a session degrades before it quarantines).
-link_supervisor::link_supervisor(const supervisor_config& cfg, rate_option nominal_rate)
+link_supervisor::link_supervisor(const supervisor_config& cfg, std::size_t nominal_rate)
     : cfg_(cfg),
       arq_(cfg.arq),
       adapter_(cfg.margin_db),
@@ -104,6 +104,9 @@ link_supervisor::link_supervisor(const supervisor_config& cfg, rate_option nomin
                    .probe_backoff_factor = 1.0,
                    .probe_backoff_cap_rounds = 1})
 {
+    if (nominal_rate >= rate_table().size()) {
+        throw std::invalid_argument("link_supervisor: nominal rate is not a rung of the ladder");
+    }
     if (cfg.watchdog_probes == 0) {
         throw std::invalid_argument("link_supervisor: watchdog_probes must be >= 1");
     }
@@ -117,7 +120,7 @@ link_supervisor::plan link_supervisor::next_attempt() const
     plan p;
     p.rate = rate_;
     if (session_.state() == net::session_state::quarantined) {
-        p.rate = rate_table().front();
+        p.rate = robust_rung;
         // Probe instead of retransmitting: a full data frame sent into an
         // outage is airtime lost, so test the link with a short frame first.
         p.probe = true;
@@ -174,10 +177,8 @@ void link_supervisor::record(bool delivered, double snr_db, double now_s, bool w
     }
 
     probes_since_reacquire_ = 0;
-    rate_option adapted = adapter_.select_smoothed(snr_db);
-    // Ramp back up, but never above the configured nominal rate.
-    if (adapted.efficiency() > nominal_rate_.efficiency()) adapted = nominal_rate_;
-    rate_ = adapted;
+    // Ramp back up, but never above the configured nominal rung.
+    rate_ = std::min(adapter_.select_smoothed(snr_db), nominal_rate_);
 }
 
 void link_supervisor::note_reacquisition(double now_s)
@@ -212,7 +213,7 @@ void supervised_report::merge(const supervised_report& other)
 }
 
 supervised_report run_supervised(const supervisor_config& cfg,
-                                 const rate_option& nominal_rate,
+                                 std::size_t nominal_rate,
                                  const link_driver& driver, std::size_t frames,
                                  double payload_bits)
 {
@@ -236,12 +237,15 @@ supervised_report run_supervised(const supervisor_config& cfg,
     return report;
 }
 
-supervised_report run_plain_arq(std::size_t max_retries, const rate_option& rate,
+supervised_report run_plain_arq(std::size_t max_retries, std::size_t rate,
                                 const link_driver& driver, std::size_t frames,
                                 double payload_bits)
 {
     if (max_retries == 0) {
         throw std::invalid_argument("run_plain_arq: max_retries must be >= 1");
+    }
+    if (rate >= rate_table().size()) {
+        throw std::invalid_argument("run_plain_arq: rate is not a rung of the ladder");
     }
     std::size_t transmissions = 0;
     auto report = offer_frames(driver, frames, max_retries, payload_bits, [&] {

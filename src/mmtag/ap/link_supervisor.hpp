@@ -1,6 +1,6 @@
 // AP-side link supervision: outage detection from CRC-failure streaks,
-// robust-mode probes spaced by the mac::arq capped-exponential backoff, MCS
-// fallback with smoothed-SNR ramp-up capped at the nominal rate, and a
+// robust-rung probes spaced by the mac::arq capped-exponential backoff, MCS
+// fallback with smoothed-SNR ramp-up capped at the nominal rung, and a
 // watchdog that re-runs acquisition when an outage persists — plus the
 // recovery metrics (time-to-detect, time-to-recover, goodput retained) R21
 // reports. Link health is a net::tag_session with link parameters: the
@@ -62,16 +62,17 @@ struct recovery_metrics {
 
 class link_supervisor {
 public:
-    link_supervisor(const supervisor_config& cfg, rate_option nominal_rate);
+    /// `nominal_rate` caps the ramp-up; off the ladder it throws invalid_argument.
+    link_supervisor(const supervisor_config& cfg, std::size_t nominal_rate);
 
     /// What to do for the next transmission attempt.
     struct plan {
         double wait_s = 0.0;    ///< idle backoff before transmitting
         bool reacquire = false; ///< re-run acquisition first
-        /// Send a short robust-mode probe instead of the data frame: blind
+        /// Send a short robust-rung probe instead of the data frame: blind
         /// full-frame retransmissions into an outage only burn airtime.
         bool probe = false;
-        rate_option rate{};     ///< MCS for the attempt
+        std::size_t rate = robust_rung; ///< rung for the attempt
     };
     [[nodiscard]] plan next_attempt() const;
 
@@ -94,8 +95,8 @@ private:
     supervisor_config cfg_;
     mac::stop_and_wait_arq arq_;
     rate_adapter adapter_;
-    rate_option nominal_rate_;
-    rate_option rate_;
+    std::size_t nominal_rate_;
+    std::size_t rate_;
     net::tag_session session_;
     recovery_metrics metrics_;
     std::size_t attempts_ = 0;         ///< attempts recorded (the session round)
@@ -116,11 +117,11 @@ struct link_driver {
     /// Called once per offered frame, before its first attempt (e.g. to
     /// draw the payload that all retransmissions of the frame share).
     std::function<void(std::size_t frame_index)> next_frame;
-    /// Transmit one frame attempt at `rate`; returns the outcome.
-    std::function<attempt_result(const rate_option& rate)> transmit;
-    /// Send a short link probe at `rate`; delivered == the link is back.
+    /// Transmit one frame attempt at rung `rate`; returns the outcome.
+    std::function<attempt_result(std::size_t rate)> transmit;
+    /// Send a short link probe at rung `rate`; delivered == the link is back.
     /// Optional: when absent, probes fall back to full transmit attempts.
-    std::function<attempt_result(const rate_option& rate)> probe;
+    std::function<attempt_result(std::size_t rate)> probe;
     /// Idle the link for `wait_s` (backoff).
     std::function<void(double wait_s)> wait;
     /// Re-run acquisition (re-lock the LO, retrain the canceller).
@@ -149,16 +150,16 @@ struct supervised_report {
 /// every frame is attempted up to cfg.arq.max_retries times following the
 /// supervisor's backoff/fallback/watchdog plan, then dropped.
 [[nodiscard]] supervised_report run_supervised(const supervisor_config& cfg,
-                                               const rate_option& nominal_rate,
+                                               std::size_t nominal_rate,
                                                const link_driver& driver,
                                                std::size_t frames,
                                                double payload_bits);
 
 /// The "supervisor off" baseline: every frame is transmitted at the fixed
-/// `rate` up to `max_retries` times back to back, then dropped. Only
-/// recovery.transmissions is counted.
+/// rung `rate` (off the ladder: invalid_argument) up to `max_retries` times
+/// back to back, then dropped. Only recovery.transmissions is counted.
 [[nodiscard]] supervised_report run_plain_arq(std::size_t max_retries,
-                                              const rate_option& rate,
+                                              std::size_t rate,
                                               const link_driver& driver,
                                               std::size_t frames, double payload_bits);
 

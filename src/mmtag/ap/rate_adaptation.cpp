@@ -29,19 +29,14 @@ rate_adapter::rate_adapter(double margin_db) : margin_db_(margin_db) {}
 std::size_t rate_adapter::select_index(double snr_db) const
 {
     const auto& table = rate_table();
-    std::size_t chosen = 0;
+    std::size_t chosen = robust_rung;
     for (std::size_t i = 0; i < table.size(); ++i) {
         if (snr_db >= table[i].required_snr_db + margin_db_) chosen = i;
     }
     return chosen;
 }
 
-rate_option rate_adapter::select(double snr_db) const
-{
-    return rate_table()[select_index(snr_db)];
-}
-
-rate_option rate_adapter::select_smoothed(double snr_db)
+std::size_t rate_adapter::select_smoothed(double snr_db)
 {
     constexpr double alpha = 0.25;
     if (!primed_) {
@@ -50,7 +45,7 @@ rate_option rate_adapter::select_smoothed(double snr_db)
     } else {
         smoothed_snr_db_ += alpha * (snr_db - smoothed_snr_db_);
     }
-    return select(smoothed_snr_db_);
+    return select_index(smoothed_snr_db_);
 }
 
 } // namespace mmtag::ap

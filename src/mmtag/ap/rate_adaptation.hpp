@@ -1,8 +1,9 @@
 // SNR-driven rate adaptation: choose the densest (modulation, FEC) pair whose
-// decoding threshold clears the measured SNR with margin.
+// decoding threshold clears the measured SNR with margin. Every layer names a
+// rate by its rung (index) on the one ordered ladder, rate_table().
 #pragma once
 
-#include <span>
+#include <cstddef>
 #include <vector>
 
 #include "mmtag/common.hpp"
@@ -24,22 +25,21 @@ struct rate_option {
 /// convolutional coding gain.
 [[nodiscard]] const std::vector<rate_option>& rate_table();
 
+/// The robust rung (bottom of the ladder): outage probes, degraded sessions, the floor.
+inline constexpr std::size_t robust_rung = 0;
+
 class rate_adapter {
 public:
     /// `margin_db` backs every threshold off for channel estimation error.
     explicit rate_adapter(double margin_db = 2.0);
 
-    /// Index into rate_table() of the densest option decodable at `snr_db`;
-    /// 0 (the most robust option) when even the bottom of the ladder is out
-    /// of reach (caller may still fail).
+    /// Rung of the densest option decodable at `snr_db`; robust_rung when
+    /// even the bottom of the ladder is out of reach (caller may still fail).
     [[nodiscard]] std::size_t select_index(double snr_db) const;
 
-    /// rate_table()[select_index(snr_db)].
-    [[nodiscard]] rate_option select(double snr_db) const;
-
-    /// Smoothed selection: exponential SNR averaging across calls to avoid
-    /// flapping on noisy estimates.
-    [[nodiscard]] rate_option select_smoothed(double snr_db);
+    /// Smoothed selection: the rung for an exponential SNR average across
+    /// calls, which avoids flapping on noisy estimates.
+    [[nodiscard]] std::size_t select_smoothed(double snr_db);
 
     [[nodiscard]] double smoothed_snr_db() const { return smoothed_snr_db_; }
 

@@ -53,8 +53,9 @@ sampled_inventory_result run_sampled_inventory(const system_config& base,
         for (std::size_t tag_index : remaining) {
             const std::size_t slot = slot_dist(rng);
             ++occupancy[slot];
-            bursts.push_back({tag_index, id_payload(tags[tag_index].id),
-                              static_cast<double>(slot) * slot_s});
+            bursts.push_back({.tag_index = tag_index,
+                              .payload = id_payload(tags[tag_index].id),
+                              .start_s = static_cast<double>(slot) * slot_s});
             burst_tag.push_back(tag_index);
             slot_of_burst.push_back(slot);
         }

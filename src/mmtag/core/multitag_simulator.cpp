@@ -42,32 +42,28 @@ void multitag_simulator::attach_tag_fault_injectors(
 
 namespace {
 
-// Robust-mode modulator sharing everything with the base configuration but
-// the payload (modulation, FEC) pair — preamble, header coding, bank and
-// switch stay identical, so the override only changes payload density.
-tag::backscatter_modulator with_mcs(const tag::backscatter_modulator& base,
-                                    const ap::rate_option& mcs)
+// Modulates `payload` with `base`, or at rung `mcs` when set: the override
+// shares everything with the base configuration but the payload (modulation,
+// FEC) pair — preamble, header coding, bank and switch stay identical, so it
+// only changes payload density.
+tag::modulated_frame modulate_at(const tag::backscatter_modulator& base,
+                                 std::span<const std::uint8_t> payload,
+                                 std::optional<std::size_t> mcs)
 {
+    if (!mcs) return base.modulate(payload);
+    const auto& rung = ap::rate_table().at(*mcs);
     tag::backscatter_modulator::config cfg = base.parameters();
-    cfg.frame.scheme = mcs.scheme;
-    cfg.frame.fec = mcs.fec;
-    return tag::backscatter_modulator(cfg);
+    cfg.frame.scheme = rung.scheme;
+    cfg.frame.fec = rung.fec;
+    return tag::backscatter_modulator(cfg).modulate(payload);
 }
 
 } // namespace
 
-double multitag_simulator::burst_duration_s(std::size_t payload_bytes) const
-{
-    const auto frame = modulator_.modulate(std::vector<std::uint8_t>(payload_bytes, 0));
-    return frame.duration_s;
-}
-
 double multitag_simulator::burst_duration_s(std::size_t payload_bytes,
-                                            const ap::rate_option& mcs) const
+                                            std::optional<std::size_t> mcs) const
 {
-    const auto frame =
-        with_mcs(modulator_, mcs).modulate(std::vector<std::uint8_t>(payload_bytes, 0));
-    return frame.duration_s;
+    return modulate_at(modulator_, std::vector<std::uint8_t>(payload_bytes, 0), mcs).duration_s;
 }
 
 std::vector<burst_outcome> multitag_simulator::run(const std::vector<tag_burst>& bursts)
@@ -78,6 +74,9 @@ std::vector<burst_outcome> multitag_simulator::run(const std::vector<tag_burst>&
     for (const auto& burst : bursts) {
         if (burst.tag_index >= channels_.size()) {
             throw std::invalid_argument("multitag_simulator: tag index out of range");
+        }
+        if (burst.mcs && *burst.mcs >= ap::rate_table().size()) {
+            throw std::invalid_argument("multitag_simulator: MCS rung out of range");
         }
     }
 
@@ -92,8 +91,7 @@ std::vector<burst_outcome> multitag_simulator::run(const std::vector<tag_burst>&
     const double training = base_.receiver.canceller.training_fraction +
                             base_.receiver.canceller.training_skip;
     for (const auto& burst : bursts) {
-        frames.push_back(burst.mcs ? with_mcs(modulator_, *burst.mcs).modulate(burst.payload)
-                                   : modulator_.modulate(burst.payload));
+        frames.push_back(modulate_at(modulator_, burst.payload, burst.mcs));
         const auto start = static_cast<std::size_t>(std::round(burst.start_s * fs));
         starts.push_back(start);
         latest_end = std::max(latest_end, start + frames.back().gamma.size());

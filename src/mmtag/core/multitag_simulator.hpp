@@ -31,12 +31,12 @@ struct tag_burst {
     std::size_t tag_index = 0;            ///< into the constructor's tag list
     std::vector<std::uint8_t> payload;
     double start_s = 0.0;                 ///< burst start within the capture
-    /// Per-burst MCS override: the network supervisor drops a degraded
-    /// session to a robust rung of the rate ladder without touching the
-    /// other tags in the capture. The frame header self-describes scheme and
-    /// FEC, so the receiver decodes an overridden burst with no
+    /// Per-burst MCS override, a rung of ap::rate_table(): the network
+    /// supervisor drops a degraded session to ap::robust_rung without touching
+    /// the other tags in the capture. The frame header self-describes scheme
+    /// and FEC, so the receiver decodes an overridden burst with no
     /// configuration change. nullopt = the base configuration's MCS.
-    std::optional<ap::rate_option> mcs;
+    std::optional<std::size_t> mcs = std::nullopt;
 };
 
 struct burst_outcome {
@@ -73,16 +73,15 @@ public:
 
     /// Runs one shared capture containing all bursts, then attempts to
     /// receive each burst in its own window. Overlapping bursts interfere at
-    /// the sample level; well-separated slots decode independently.
+    /// the sample level; well-separated slots decode independently. Throws
+    /// std::invalid_argument on a tag index or MCS rung out of range.
     [[nodiscard]] std::vector<burst_outcome> run(const std::vector<tag_burst>& bursts);
 
-    /// Airtime of one burst for `payload_bytes` (for slot planning).
-    [[nodiscard]] double burst_duration_s(std::size_t payload_bytes) const;
-
-    /// Airtime of one burst under an MCS override (robust-mode slots are
-    /// longer: fewer bits per symbol, lower code rate).
+    /// Airtime of one burst for `payload_bytes` (for slot planning), at the
+    /// base MCS or at rung `mcs` (robust-rung slots are longer: fewer bits
+    /// per symbol, lower code rate).
     [[nodiscard]] double burst_duration_s(std::size_t payload_bytes,
-                                          const ap::rate_option& mcs) const;
+                                          std::optional<std::size_t> mcs = std::nullopt) const;
 
 private:
     system_config base_;

@@ -51,7 +51,7 @@ std::vector<tag_link_state> network::evaluate_links(std::size_t frame_payload_by
         tag_link_state state;
         state.tag = tag;
         state.snr_db = entry.snr_db;
-        state.rate = adapter.select(entry.snr_db);
+        state.rate = ap::rate_table()[adapter.select_index(entry.snr_db)];
 
         // Residual BER at the operating point: uncoded theory at the SNR
         // surplus over the option's threshold keeps the model conservative.

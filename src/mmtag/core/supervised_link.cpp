@@ -1,6 +1,7 @@
 #include "mmtag/core/supervised_link.hpp"
 
 #include <span>
+#include <stdexcept>
 #include <vector>
 
 #include "mmtag/fault/fault_injector.hpp"
@@ -10,24 +11,23 @@ namespace mmtag::core {
 
 namespace {
 
-/// The link's configured MCS as a rate_option (threshold looked up from the
-/// ladder when present; transmission only needs the scheme/FEC pair).
-ap::rate_option nominal_rate_of(const link_simulator& link)
+/// The rung of the link's configured (modulation, FEC) pair on the rate
+/// ladder; throws std::invalid_argument when the pair is not a rung.
+std::size_t nominal_rate_of(const link_simulator& link)
 {
     const auto& frame = link.parameters().modulator.frame;
-    for (const auto& option : ap::rate_table()) {
-        if (option.scheme == frame.scheme && option.fec == frame.fec) return option;
+    const auto& ladder = ap::rate_table();
+    for (std::size_t i = 0; i < ladder.size(); ++i) {
+        if (ladder[i].scheme == frame.scheme && ladder[i].fec == frame.fec) return i;
     }
-    ap::rate_option option;
-    option.scheme = frame.scheme;
-    option.fec = frame.fec;
-    return option;
+    throw std::invalid_argument("supervised link: (modulation, FEC) is not a rate-ladder rung");
 }
 
-ap::attempt_result send(link_simulator& link, const ap::rate_option& rate,
+ap::attempt_result send(link_simulator& link, std::size_t rate,
                         std::span<const std::uint8_t> bytes)
 {
-    link.set_rate(rate.scheme, rate.fec);
+    const auto& option = ap::rate_table()[rate];
+    link.set_rate(option.scheme, option.fec);
     const auto result = link.run_frame(bytes);
     return {result.delivered, result.rx.snr_db};
 }
@@ -44,7 +44,7 @@ ap::link_driver data_driver(link_simulator& link, fault::fault_injector* faults,
         payload = phy::random_bytes(payload_bytes,
                                     link.parameters().seed * 1'000'003 + 500'000 + f);
     };
-    driver.transmit = [&link, &payload](const ap::rate_option& rate) {
+    driver.transmit = [&link, &payload](std::size_t rate) {
         return send(link, rate, payload);
     };
     driver.now = [&link] { return link.clock_s(); };
@@ -58,14 +58,15 @@ ap::supervised_report run_supervised_link(link_simulator& link,
                                           const ap::supervisor_config& cfg,
                                           std::size_t frames, std::size_t payload_bytes)
 {
+    const std::size_t nominal_rate = nominal_rate_of(link); // before any side effect
     std::vector<std::uint8_t> payload;
     ap::link_driver driver = data_driver(link, faults, payload_bytes, payload);
     // A probe is a short frame (minimal payload) at the requested robust
-    // rate: a CRC pass proves the link is usable again without spending a
+    // rung: a CRC pass proves the link is usable again without spending a
     // full data frame of airtime on a possibly dead channel.
     const std::vector<std::uint8_t> probe_payload =
         phy::random_bytes(4, link.parameters().seed * 1'000'003 + 499'999);
-    driver.probe = [&link, probe_payload](const ap::rate_option& rate) {
+    driver.probe = [&link, probe_payload](std::size_t rate) {
         return send(link, rate, probe_payload);
     };
     driver.wait = [&link](double wait_s) { link.advance_clock(wait_s); };
@@ -73,7 +74,7 @@ ap::supervised_report run_supervised_link(link_simulator& link,
         link.advance_clock(reacquire_s);
         if (faults != nullptr) faults->clear_lo_steps(link.clock_s());
     };
-    return ap::run_supervised(cfg, nominal_rate_of(link), driver, frames,
+    return ap::run_supervised(cfg, nominal_rate, driver, frames,
                               static_cast<double>(payload_bytes) * 8.0);
 }
 
@@ -82,8 +83,9 @@ ap::supervised_report run_baseline_link(link_simulator& link,
                                         std::size_t max_retries, std::size_t frames,
                                         std::size_t payload_bytes)
 {
+    const std::size_t rate = nominal_rate_of(link); // before any side effect
     std::vector<std::uint8_t> payload;
-    return ap::run_plain_arq(max_retries, nominal_rate_of(link),
+    return ap::run_plain_arq(max_retries, rate,
                              data_driver(link, faults, payload_bytes, payload), frames,
                              static_cast<double>(payload_bytes) * 8.0);
 }

@@ -18,8 +18,9 @@ namespace mmtag::core {
 /// injected per frame window (nullptr = fault-free). Reacquisition advances
 /// the link clock by cfg.reacquisition_time_s and re-locks the LO (clearing
 /// pending LO-step faults). The link's configured (modulation, FEC) pair is
-/// the supervisor's nominal rate. cfg.metrics receives the supervisor/*
-/// series only; attach a registry to the link and injector for theirs.
+/// the supervisor's nominal rung (off ap::rate_table(), std::invalid_argument
+/// before any frame). cfg.metrics receives the supervisor/* series only;
+/// attach a registry to the link and injector for theirs.
 [[nodiscard]] ap::supervised_report run_supervised_link(link_simulator& link,
                                                         fault::fault_injector* faults,
                                                         const ap::supervisor_config& cfg,
@@ -28,7 +29,8 @@ namespace mmtag::core {
 
 /// Supervisor-off baseline: the same traffic and fault exposure, but plain
 /// stop-and-wait ARQ at the fixed configured rate — no backoff, no MCS
-/// fallback, no watchdog, so a persistent fault is a goodput cliff.
+/// fallback, no watchdog, so a persistent fault is a goodput cliff. The
+/// configured pair must be a rung, as for run_supervised_link.
 [[nodiscard]] ap::supervised_report run_baseline_link(link_simulator& link,
                                                       fault::fault_injector* faults,
                                                       std::size_t max_retries,

@@ -257,12 +257,11 @@ soak_trial_result run_soak_trial(const soak_config& cfg, std::size_t trial,
     if (registry != nullptr) sim.attach_metrics(registry);
 
     // Degraded sessions and probes use the robust bottom of the rate ladder.
-    const ap::rate_option& robust_mcs = ap::rate_table().front();
     const double data_slot_s = sim.burst_duration_s(cfg.payload_bytes) * 1.05;
     const double robust_slot_s =
-        sim.burst_duration_s(cfg.payload_bytes, robust_mcs) * 1.05;
+        sim.burst_duration_s(cfg.payload_bytes, ap::robust_rung) * 1.05;
     const double probe_slot_s =
-        sim.burst_duration_s(probe_payload_bytes, robust_mcs) * 1.05;
+        sim.burst_duration_s(probe_payload_bytes, ap::robust_rung) * 1.05;
 
     // Fault plan: the horizon derives from one measured round of airtime
     // (a throwaway capture on a twin simulator), so active_fraction keeps
@@ -276,8 +275,9 @@ soak_trial_result run_soak_trial(const soak_config& cfg, std::size_t trial,
         probe_round.reserve(n);
         for (std::size_t i = 0; i < n; ++i) {
             probe_round.push_back(
-                {i, std::vector<std::uint8_t>(cfg.payload_bytes, 0),
-                 static_cast<double>(i) * data_slot_s});
+                {.tag_index = i,
+                 .payload = std::vector<std::uint8_t>(cfg.payload_bytes, 0),
+                 .start_s = static_cast<double>(i) * data_slot_s});
         }
         (void)measure.run(probe_round);
         const double round_s = measure.clock_s();
@@ -340,7 +340,7 @@ soak_trial_result run_soak_trial(const soak_config& cfg, std::size_t trial,
             burst.payload = phy::random_bytes(
                 cfg.payload_bytes, runtime::substream(tseed, ++burst_counter));
             burst.start_s = cursor;
-            if (robust_tag[id]) burst.mcs = robust_mcs;
+            if (robust_tag[id]) burst.mcs = ap::robust_rung;
             cursor += robust_tag[id] ? robust_slot_s : data_slot_s;
             bursts.push_back(std::move(burst));
             slots.push_back({id, false});
@@ -352,7 +352,7 @@ soak_trial_result run_soak_trial(const soak_config& cfg, std::size_t trial,
             burst.payload = phy::random_bytes(
                 probe_payload_bytes, runtime::substream(tseed, ++burst_counter));
             burst.start_s = cursor;
-            burst.mcs = robust_mcs;
+            burst.mcs = ap::robust_rung;
             cursor += probe_slot_s;
             bursts.push_back(std::move(burst));
             slots.push_back({id, true});

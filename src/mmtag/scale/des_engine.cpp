@@ -80,14 +80,14 @@ std::size_t format_event_line(const des_event& ev, int outcome, std::span<char> 
     return static_cast<std::size_t>(p - out.data());
 }
 
-/// Airtime of one TDMA slot at a given rate: query + turnaround + the full
+/// Airtime of one TDMA slot at rung `mcs`: query + turnaround + the full
 /// frame (preamble, BPSK header, payload at the slot's MCS) + guard.
-double slot_airtime_s(const ap::rate_option& option, std::size_t payload_bytes,
-                      double symbol_rate_hz, const mac::tdma_config& mac)
+double slot_airtime_s(std::size_t mcs, std::size_t payload_bytes, double symbol_rate_hz,
+                      const mac::tdma_config& mac)
 {
     phy::frame_config frame;
-    frame.scheme = option.scheme;
-    frame.fec = option.fec;
+    frame.scheme = ap::rate_table()[mcs].scheme;
+    frame.fec = ap::rate_table()[mcs].fec;
     const std::size_t symbols = frame.preamble.total_symbols() +
                                 phy::header_symbol_count +
                                 phy::payload_symbol_count(payload_bytes, frame);
@@ -114,16 +114,13 @@ scale_trial_result run_scale_trial(const scale_config& cfg, const deployment& to
     const std::uint64_t fault_seed = runtime::trial_seed(cfg.fault_seed, 0, trial);
 
     // Per-tag static decisions and per-MCS slot airtimes, fixed for the run.
-    const auto& ladder = ap::rate_table();
     const mac::tdma_config mac{};
-    std::vector<double> mcs_slot_s(ladder.size());
-    for (std::size_t i = 0; i < ladder.size(); ++i) {
-        mcs_slot_s[i] =
-            slot_airtime_s(ladder[i], cfg.payload_bytes, cfg.scenario.symbol_rate_hz, mac);
+    std::vector<double> mcs_slot_s(ap::rate_table().size());
+    for (std::size_t i = 0; i < mcs_slot_s.size(); ++i) {
+        mcs_slot_s[i] = slot_airtime_s(i, cfg.payload_bytes, cfg.scenario.symbol_rate_hz, mac);
     }
-    const double probe_slot_s =
-        slot_airtime_s(ladder.front(), probe_payload_bytes, cfg.scenario.symbol_rate_hz,
-                       mac);
+    const double probe_slot_s = slot_airtime_s(ap::robust_rung, probe_payload_bytes,
+                                               cfg.scenario.symbol_rate_hz, mac);
     const ap::rate_adapter adapter(cfg.margin_db);
     std::vector<std::uint16_t> tag_mcs(n);
     for (std::size_t t = 0; t < n; ++t) {
@@ -256,7 +253,7 @@ scale_trial_result run_scale_trial(const scale_config& cfg, const deployment& to
                 slot.kind = event_kind::probe_slot;
                 slot.ap = ev.ap;
                 slot.tag = static_cast<std::uint32_t>(members[p]);
-                slot.mcs = 0;
+                slot.mcs = ap::robust_rung;
                 slot.time_s = cursor;
                 slot.duration_s = probe_slot_s;
                 schedule(next, slot);
@@ -268,7 +265,7 @@ scale_trial_result run_scale_trial(const scale_config& cfg, const deployment& to
                 slot.kind = event_kind::data_slot;
                 slot.ap = ev.ap;
                 slot.tag = static_cast<std::uint32_t>(members[p]);
-                slot.mcs = robust_stamp[slot.tag] == stamp ? 0 : tag_mcs[slot.tag];
+                slot.mcs = robust_stamp[slot.tag] == stamp ? ap::robust_rung : tag_mcs[slot.tag];
                 slot.time_s = cursor;
                 slot.duration_s = mcs_slot_s[slot.mcs];
                 schedule(next, slot);
@@ -276,7 +273,7 @@ scale_trial_result run_scale_trial(const scale_config& cfg, const deployment& to
             }
             // A fully quarantined, probe-less round still advances time by
             // one robust slot so the backoff clock keeps ticking.
-            if (cursor == ev.time_s) cursor += mcs_slot_s[0];
+            if (cursor == ev.time_s) cursor += mcs_slot_s[ap::robust_rung];
             cell_end_s[ev.ap] = cursor;
             ++result.rounds;
             if (++rounds_done[ev.ap] < cfg.frames) {

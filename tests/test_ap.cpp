@@ -125,16 +125,18 @@ TEST(rate_adaptation, table_is_monotone)
 TEST(rate_adaptation, selects_by_snr)
 {
     rate_adapter adapter(2.0);
-    // Very low SNR: most robust option.
-    EXPECT_EQ(adapter.select(-5.0).scheme, phy::modulation::bpsk);
+    const auto& table = rate_table();
+    // Very low SNR: the robust rung.
+    EXPECT_EQ(adapter.select_index(-5.0), robust_rung);
+    EXPECT_EQ(table[robust_rung].scheme, phy::modulation::bpsk);
     // Very high SNR: densest option.
-    const auto best = adapter.select(40.0);
-    EXPECT_EQ(best.scheme, phy::modulation::psk16);
-    EXPECT_EQ(best.fec, phy::fec_mode::uncoded);
-    // Mid SNR selects something in between.
-    const auto mid = adapter.select(10.0);
-    EXPECT_GT(mid.efficiency(), adapter.select(-5.0).efficiency());
-    EXPECT_LT(mid.efficiency(), best.efficiency());
+    const std::size_t best = adapter.select_index(40.0);
+    EXPECT_EQ(table[best].scheme, phy::modulation::psk16);
+    EXPECT_EQ(table[best].fec, phy::fec_mode::uncoded);
+    // Mid SNR selects a rung in between.
+    const std::size_t mid = adapter.select_index(10.0);
+    EXPECT_GT(mid, robust_rung);
+    EXPECT_LT(mid, best);
 }
 
 TEST(rate_adaptation, margin_is_respected)
@@ -142,7 +144,7 @@ TEST(rate_adaptation, margin_is_respected)
     rate_adapter tight(0.0);
     rate_adapter cautious(6.0);
     const double snr = 13.0;
-    EXPECT_GE(tight.select(snr).efficiency(), cautious.select(snr).efficiency());
+    EXPECT_GE(tight.select_index(snr), cautious.select_index(snr));
 }
 
 TEST(rate_adaptation, smoothing_filters_outliers)
@@ -151,9 +153,9 @@ TEST(rate_adaptation, smoothing_filters_outliers)
     (void)adapter.select_smoothed(20.0);
     for (int i = 0; i < 10; ++i) (void)adapter.select_smoothed(20.0);
     // One deep outlier cannot crash the average to the bottom.
-    const auto option = adapter.select_smoothed(-10.0);
+    const std::size_t rung = adapter.select_smoothed(-10.0);
     EXPECT_GT(adapter.smoothed_snr_db(), 10.0);
-    EXPECT_GT(option.efficiency(), 1.0);
+    EXPECT_GT(rate_table()[rung].efficiency(), 1.0);
 }
 
 } // namespace

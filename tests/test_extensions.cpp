@@ -144,8 +144,8 @@ TEST_F(multitag_fixture, separated_slots_both_decode)
     auto sim = make(2);
     const double slot = sim.burst_duration_s(24) + 20e-6;
     const std::vector<tag_burst> bursts{
-        {0, phy::random_bytes(24, 1), 0.0},
-        {1, phy::random_bytes(24, 2), slot},
+        {.tag_index = 0, .payload = phy::random_bytes(24, 1), .start_s = 0.0},
+        {.tag_index = 1, .payload = phy::random_bytes(24, 2), .start_s = slot},
     };
     const auto outcomes = sim.run(bursts);
     ASSERT_EQ(outcomes.size(), 2u);
@@ -158,8 +158,8 @@ TEST_F(multitag_fixture, full_overlap_of_equal_tags_collides)
     std::vector<tag_descriptor> tags{{0, 2.0, 0.0}, {1, 2.0, 0.0}};
     multitag_simulator sim(fast_scenario(), tags);
     const std::vector<tag_burst> bursts{
-        {0, phy::random_bytes(24, 3), 0.0},
-        {1, phy::random_bytes(24, 4), 0.0},
+        {.tag_index = 0, .payload = phy::random_bytes(24, 3), .start_s = 0.0},
+        {.tag_index = 1, .payload = phy::random_bytes(24, 4), .start_s = 0.0},
     };
     const auto outcomes = sim.run(bursts);
     // Comparable-power overlap: at most one side can survive, and for equal
@@ -174,8 +174,8 @@ TEST_F(multitag_fixture, capture_effect_with_power_disparity)
     std::vector<tag_descriptor> tags{{0, 1.5, 0.0}, {1, 5.0, 0.0}};
     multitag_simulator sim(fast_scenario(), tags);
     const std::vector<tag_burst> bursts{
-        {0, phy::random_bytes(24, 5), 0.0},
-        {1, phy::random_bytes(24, 6), 0.0},
+        {.tag_index = 0, .payload = phy::random_bytes(24, 5), .start_s = 0.0},
+        {.tag_index = 1, .payload = phy::random_bytes(24, 6), .start_s = 0.0},
     };
     const auto outcomes = sim.run(bursts);
     EXPECT_TRUE(outcomes[0].delivered);
@@ -186,7 +186,7 @@ TEST_F(multitag_fixture, single_tag_matches_link_simulator)
 {
     auto sim = make(1);
     const auto payload = phy::random_bytes(32, 7);
-    const auto outcomes = sim.run({{0, payload, 0.0}});
+    const auto outcomes = sim.run({{.tag_index = 0, .payload = payload, .start_s = 0.0}});
     ASSERT_EQ(outcomes.size(), 1u);
     EXPECT_TRUE(outcomes[0].delivered);
     EXPECT_GT(outcomes[0].snr_db, 25.0);
@@ -195,7 +195,12 @@ TEST_F(multitag_fixture, single_tag_matches_link_simulator)
 TEST_F(multitag_fixture, validation)
 {
     auto sim = make(2);
-    EXPECT_THROW((void)sim.run({{5, phy::random_bytes(8, 1), 0.0}}), std::invalid_argument);
+    EXPECT_THROW((void)sim.run({{.tag_index = 5, .payload = phy::random_bytes(8, 1)}}),
+                 std::invalid_argument);
+    EXPECT_THROW((void)sim.run({{.tag_index = 0,
+                                 .payload = phy::random_bytes(8, 1),
+                                 .mcs = ap::rate_table().size()}}),
+                 std::invalid_argument);
     EXPECT_THROW(multitag_simulator(fast_scenario(), {}), std::invalid_argument);
 }
 

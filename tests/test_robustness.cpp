@@ -201,6 +201,18 @@ TEST(determinism, fault_replay_reproduces_supervisor_recovery_metrics)
     EXPECT_DOUBLE_EQ(a.goodput_bps, b.goodput_bps);
 }
 
+TEST(supervised_link, off_ladder_link_throws_before_any_frame)
+{
+    // The wearable preset's 8-PSK conv-2/3 pair is not a rung of the rate
+    // ladder, so neither arm has a nominal rung to run at.
+    core::link_simulator link(core::wearable_scenario());
+    EXPECT_THROW((void)core::run_supervised_link(link, nullptr, {}, 4, 16),
+                 std::invalid_argument);
+    EXPECT_THROW((void)core::run_baseline_link(link, nullptr, 3, 4, 16),
+                 std::invalid_argument);
+    EXPECT_DOUBLE_EQ(link.clock_s(), 0.0);
+}
+
 TEST(determinism, different_seeds_differ)
 {
     auto cfg = core::default_scenario();

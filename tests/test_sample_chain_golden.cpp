@@ -126,7 +126,7 @@ TEST(SampleChainGolden, MultitagCaptureWithOverrideAndFaultedTag)
     const std::vector<core::tag_descriptor> tags{
         {0, 2.0, 0.0}, {1, 2.5, 0.0}, {2, 3.0, 0.0}, {3, 2.2, 0.1}};
     core::multitag_simulator sim(core::fast_scenario(), tags);
-    const ap::rate_option robust = ap::rate_table().front();
+    const std::size_t robust = ap::robust_rung;
     const double slot = sim.burst_duration_s(24, robust) + 20e-6;
 
     // Tag 2 is shadowed by 12 dB for its whole burst.
