@@ -81,13 +81,7 @@ int main(int argc, char** argv)
                           runtime::result_writer::metrics(report));
     }
     out.print();
-    const auto written = results.write(opts.json_path, outcome.wall_s, outcome.jobs,
-                                       outcome.trials_per_s());
-    if (!opts.csv) {
-        std::printf("\n%s\n", runtime::summary_line(point_count, outcome.trials,
-                                                    outcome.wall_s, outcome.jobs)
-                                  .c_str());
-        if (!written.empty()) std::printf("wrote %s\n", written.c_str());
-    }
+    bench::write_results(results, opts, point_count, outcome.trials, outcome.trials,
+                         outcome.wall_s, outcome.jobs);
     return 0;
 }

@@ -257,16 +257,8 @@ int main(int argc, char** argv)
 
     const double wall_s = analytic_out.wall_s + sampled_out.wall_s;
     const std::size_t trials = analytic_out.trials + sampled_out.trials;
-    const auto written =
-        results.write(opts.json_path, wall_s, sampled_out.jobs,
-                      wall_s > 0.0 ? static_cast<double>(trials) / wall_s : 0.0);
-    if (!opts.csv) {
-        std::printf("\n%s\n",
-                    runtime::summary_line(std::size(kAnalyticPopulations) +
-                                              std::size(kSampledPopulations),
-                                          trials, wall_s, sampled_out.jobs)
-                        .c_str());
-        if (!written.empty()) std::printf("wrote %s\n", written.c_str());
-    }
+    bench::write_results(results, opts,
+                         std::size(kAnalyticPopulations) + std::size(kSampledPopulations),
+                         trials, trials, wall_s, sampled_out.jobs);
     return 0;
 }

@@ -19,7 +19,6 @@
 #include "mmtag/core/supervised_link.hpp"
 #include "mmtag/fault/fault_injector.hpp"
 #include "mmtag/runtime/result_writer.hpp"
-#include "mmtag/runtime/sweep_runner.hpp"
 #include "mmtag/runtime/thread_pool.hpp"
 
 using namespace mmtag;
@@ -150,13 +149,6 @@ int main(int argc, char** argv)
     out.print();
 
     const std::size_t tasks = 1 + 2 * cell_count;
-    const auto written =
-        results.write(opts.json_path, wall_s, pool.jobs(),
-                      wall_s > 0.0 ? static_cast<double>(tasks) / wall_s : 0.0);
-    if (!opts.csv) {
-        std::printf("\n%s\n", runtime::summary_line(cell_count, tasks, wall_s, pool.jobs())
-                                  .c_str());
-        if (!written.empty()) std::printf("wrote %s\n", written.c_str());
-    }
+    bench::write_results(results, opts, cell_count, tasks, tasks, wall_s, pool.jobs());
     return 0;
 }

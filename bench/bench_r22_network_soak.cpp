@@ -20,7 +20,6 @@
 #include "bench_util.hpp"
 #include "mmtag/net/soak_harness.hpp"
 #include "mmtag/runtime/result_writer.hpp"
-#include "mmtag/runtime/sweep_runner.hpp"
 #include "mmtag/runtime/thread_pool.hpp"
 
 using namespace mmtag;
@@ -114,15 +113,7 @@ int main(int argc, char** argv)
     out.print();
 
     const std::size_t tasks = 2 * trials * (max_faulted + 1);
-    const auto written =
-        results.write(opts.json_path, wall_s, pool.jobs(),
-                      wall_s > 0.0 ? static_cast<double>(tasks) / wall_s : 0.0);
-    if (!opts.csv) {
-        std::printf("\n%s\n",
-                    runtime::summary_line(max_faulted + 1, tasks, wall_s, pool.jobs())
-                        .c_str());
-        if (!written.empty()) std::printf("wrote %s\n", written.c_str());
-    }
+    bench::write_results(results, opts, max_faulted + 1, tasks, tasks, wall_s, pool.jobs());
     // The soak is a resilience gate, not just a report: a tripped invariant
     // is a bench failure.
     return all_passed ? 0 : 1;

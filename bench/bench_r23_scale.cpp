@@ -16,7 +16,6 @@
 
 #include "bench_util.hpp"
 #include "mmtag/runtime/result_writer.hpp"
-#include "mmtag/runtime/sweep_runner.hpp"
 #include "mmtag/runtime/thread_pool.hpp"
 #include "mmtag/scale/des_engine.hpp"
 
@@ -102,15 +101,7 @@ int main(int argc, char** argv)
 
     std::size_t tasks = 0;
     for (const std::size_t tags : tag_counts) tasks += trials * (1 + tags / 1000);
-    const auto written =
-        results.write(opts.json_path, wall_s, jobs_used,
-                      wall_s > 0.0 ? static_cast<double>(tasks) / wall_s : 0.0);
-    if (!opts.csv) {
-        std::printf("\n%s\n",
-                    runtime::summary_line(tag_counts.size(), trials * tag_counts.size(),
-                                          wall_s, jobs_used)
-                        .c_str());
-        if (!written.empty()) std::printf("wrote %s\n", written.c_str());
-    }
+    bench::write_results(results, opts, tag_counts.size(), trials * tag_counts.size(), tasks,
+                         wall_s, jobs_used);
     return 0;
 }

@@ -13,6 +13,8 @@
 
 #include "mmtag/cli/options.hpp"
 #include "mmtag/core/config.hpp"
+#include "mmtag/runtime/result_writer.hpp"
+#include "mmtag/runtime/sweep_runner.hpp"
 
 namespace mmtag::bench {
 
@@ -154,6 +156,21 @@ inline void banner(const char* id, const char* title, bool csv)
 {
     if (csv) return;
     std::printf("\n=== %s: %s ===\n\n", id, title);
+}
+
+/// The tail of every result-writing bench: writes `results` (its run
+/// section rates `tasks` per wall second), then, outside --csv, prints the
+/// sweep summary over `points` and `trials` and the path written.
+inline void write_results(const runtime::result_writer& results, const bench_options& opts,
+                          std::size_t points, std::size_t trials, std::size_t tasks,
+                          double wall_s, std::size_t jobs)
+{
+    const std::string written =
+        results.write(opts.json_path, wall_s, jobs,
+                      wall_s > 0.0 ? static_cast<double>(tasks) / wall_s : 0.0);
+    if (opts.csv) return;
+    std::printf("\n%s\n", runtime::summary_line(points, trials, wall_s, jobs).c_str());
+    if (!written.empty()) std::printf("wrote %s\n", written.c_str());
 }
 
 } // namespace mmtag::bench

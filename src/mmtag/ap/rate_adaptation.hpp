@@ -28,6 +28,10 @@ struct rate_option {
 /// The robust rung (bottom of the ladder): outage probes, degraded sessions, the floor.
 inline constexpr std::size_t robust_rung = 0;
 
+/// Payload of an outage probe: a short frame at the robust rung whose CRC
+/// pass proves the link usable without a full data frame's airtime.
+inline constexpr std::size_t probe_payload_bytes = 4;
+
 class rate_adapter {
 public:
     /// `margin_db` backs every threshold off for channel estimation error.

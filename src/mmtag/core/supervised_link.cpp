@@ -4,6 +4,7 @@
 #include <stdexcept>
 #include <vector>
 
+#include "mmtag/ap/rate_adaptation.hpp"
 #include "mmtag/fault/fault_injector.hpp"
 #include "mmtag/phy/bitio.hpp"
 
@@ -65,7 +66,8 @@ ap::supervised_report run_supervised_link(link_simulator& link,
     // rung: a CRC pass proves the link is usable again without spending a
     // full data frame of airtime on a possibly dead channel.
     const std::vector<std::uint8_t> probe_payload =
-        phy::random_bytes(4, link.parameters().seed * 1'000'003 + 499'999);
+        phy::random_bytes(ap::probe_payload_bytes,
+                          link.parameters().seed * 1'000'003 + 499'999);
     driver.probe = [&link, probe_payload](std::size_t rate) {
         return send(link, rate, probe_payload);
     };

@@ -23,8 +23,6 @@ namespace mmtag::net {
 
 namespace {
 
-constexpr std::size_t probe_payload_bytes = 4;
-
 bool schedulable_ordinal(std::uint8_t state)
 {
     return state == static_cast<std::uint8_t>(session_state::active) ||
@@ -261,7 +259,7 @@ soak_trial_result run_soak_trial(const soak_config& cfg, std::size_t trial,
     const double robust_slot_s =
         sim.burst_duration_s(cfg.payload_bytes, ap::robust_rung) * 1.05;
     const double probe_slot_s =
-        sim.burst_duration_s(probe_payload_bytes, ap::robust_rung) * 1.05;
+        sim.burst_duration_s(ap::probe_payload_bytes, ap::robust_rung) * 1.05;
 
     // Fault plan: the horizon derives from one measured round of airtime
     // (a throwaway capture on a twin simulator), so active_fraction keeps
@@ -350,7 +348,7 @@ soak_trial_result run_soak_trial(const soak_config& cfg, std::size_t trial,
             core::tag_burst burst;
             burst.tag_index = id;
             burst.payload = phy::random_bytes(
-                probe_payload_bytes, runtime::substream(tseed, ++burst_counter));
+                ap::probe_payload_bytes, runtime::substream(tseed, ++burst_counter));
             burst.start_s = cursor;
             burst.mcs = ap::robust_rung;
             cursor += probe_slot_s;

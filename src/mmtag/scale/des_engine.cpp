@@ -1,12 +1,9 @@
 #include "mmtag/scale/des_engine.hpp"
 
 #include <algorithm>
-#include <charconv>
+#include <bit>
 #include <cmath>
 #include <cstdio>
-#include <limits>
-#include <memory>
-#include <span>
 #include <stdexcept>
 
 #include "mmtag/ap/rate_adaptation.hpp"
@@ -23,61 +20,25 @@ namespace mmtag::scale {
 
 namespace {
 
-enum class event_kind : std::uint8_t { round_begin = 0, data_slot = 1, probe_slot = 2 };
-
-const char* event_kind_name(event_kind kind)
-{
-    switch (kind) {
-    case event_kind::round_begin: return "round";
-    case event_kind::data_slot: return "data";
-    case event_kind::probe_slot: return "probe";
-    }
-    return "?";
-}
-
-struct des_event {
-    double time_s = 0.0;
-    double duration_s = 0.0; ///< slot window (fault query span)
-    std::uint64_t seq = 0;   ///< global creation order
-    std::uint32_t ap = 0;
-    std::uint32_t tag = 0;
-    std::uint16_t mcs = 0; ///< rate-ladder index for slot events
-    event_kind kind = event_kind::round_begin;
-};
-
-/// One AP cell's pending events: the slots of its current round in time
-/// order, then its next round_begin at the round's end. The round_begin is
-/// the last of them, so the buffer is empty whenever the cell plans a round.
-struct cell_events {
-    std::vector<des_event> pending;
-    std::size_t head = 0;
-};
-
-constexpr std::size_t probe_payload_bytes = 4;
 constexpr double interferer_floor_db = -300.0;
 
-/// Writes `ev`'s log line — the bytes printf("%llu %.9f %u %s %u %u %d\n")
-/// would produce (std::to_chars in fixed format with a precision is
-/// specified as printf's %.*f) — into `out` and returns its length. Each
-/// field leaves room for the separator that follows it.
-std::size_t format_event_line(const des_event& ev, int outcome, std::span<char> out)
+// Kinds of the binary event records a cell hash folds.
+constexpr std::uint64_t round_record = 0;
+constexpr std::uint64_t data_record = 1;
+constexpr std::uint64_t probe_record = 2;
+
+/// Folds one event's fixed binary record into a cell hash: kind, round or
+/// slot index, the bits of its time, tag, rung and outcome (-1 for a round
+/// begin, else 0/1).
+std::uint64_t hash_record(std::uint64_t hash, std::uint64_t kind, std::uint64_t index,
+                          double time_s, std::size_t tag, std::size_t rung, int outcome)
 {
-    char* p = out.data();
-    char* const last = out.data() + out.size() - 1;
-    const auto field = [&](auto value, char separator) {
-        p = std::to_chars(p, last, value).ptr;
-        *p++ = separator;
-    };
-    field(ev.seq, ' ');
-    p = std::to_chars(p, last, ev.time_s, std::chars_format::fixed, 9).ptr;
-    *p++ = ' ';
-    field(ev.ap, ' ');
-    for (const char* name = event_kind_name(ev.kind); *name != '\0'; ++name) *p++ = *name;
-    *p++ = ' ';
-    field(ev.tag, ' ');
-    field(ev.mcs, ' ');
-    field(outcome, '\n');
-    return static_cast<std::size_t>(p - out.data());
+    const std::uint64_t head = kind | static_cast<std::uint64_t>(rung) << 8 |
+                               static_cast<std::uint64_t>(outcome + 1) << 24 |
+                               static_cast<std::uint64_t>(tag) << 32;
+    hash = runtime::mix64(hash ^ head);
+    hash = runtime::mix64(hash ^ index);
+    return runtime::mix64(hash ^ std::bit_cast<std::uint64_t>(time_s));
 }
 
 /// Airtime of one TDMA slot at rung `mcs`: query + turnaround + the full
@@ -95,10 +56,11 @@ double slot_airtime_s(std::size_t mcs, std::size_t payload_bytes, double symbol_
            static_cast<double>(symbols) / symbol_rate_hz + mac.guard_time_s;
 }
 
-/// Uniform [0, 1) draw keyed by the event's global sequence number.
-double event_uniform(std::uint64_t draw_seed, std::uint64_t seq)
+/// Uniform [0, 1) draw: slot `slot_index` of the cell whose stream is
+/// `cell_seed`.
+double event_uniform(std::uint64_t cell_seed, std::uint64_t slot_index)
 {
-    return static_cast<double>(runtime::substream(draw_seed, seq) >> 11) * 0x1.0p-53;
+    return static_cast<double>(runtime::substream(cell_seed, slot_index) >> 11) * 0x1.0p-53;
 }
 
 } // namespace
@@ -119,13 +81,11 @@ scale_trial_result run_scale_trial(const scale_config& cfg, const deployment& to
     for (std::size_t i = 0; i < mcs_slot_s.size(); ++i) {
         mcs_slot_s[i] = slot_airtime_s(i, cfg.payload_bytes, cfg.scenario.symbol_rate_hz, mac);
     }
-    const double probe_slot_s = slot_airtime_s(ap::robust_rung, probe_payload_bytes,
+    const double probe_slot_s = slot_airtime_s(ap::robust_rung, ap::probe_payload_bytes,
                                                cfg.scenario.symbol_rate_hz, mac);
     const ap::rate_adapter adapter(cfg.margin_db);
-    std::vector<std::uint16_t> tag_mcs(n);
-    for (std::size_t t = 0; t < n; ++t) {
-        tag_mcs[t] = static_cast<std::uint16_t>(adapter.select_index(topo.tags[t].sinr_db));
-    }
+    std::vector<std::size_t> tag_mcs(n);
+    for (std::size_t t = 0; t < n; ++t) tag_mcs[t] = adapter.select_index(topo.tags[t].sinr_db);
 
     // The simulated duration spans three orders of magnitude as the tag
     // count sweeps 100 -> 10k, so absolute fault windows from the config
@@ -160,23 +120,6 @@ scale_trial_result run_scale_trial(const scale_config& cfg, const deployment& to
     std::vector<double> sinr_lin(n);
     for (std::size_t t = 0; t < n; ++t) sinr_lin[t] = from_db(topo.tags[t].sinr_db);
 
-    // One unmodified network_supervisor per non-empty cell. It addresses
-    // its tags by position in the cell: topo.cells[a][position] is the tag.
-    std::vector<std::unique_ptr<net::network_supervisor>> supervisors(cell_count);
-    std::vector<std::uint32_t> position(n, 0);
-    for (std::size_t a = 0; a < cell_count; ++a) {
-        if (topo.cells[a].empty()) continue;
-        net::supervisor_config sup_cfg;
-        sup_cfg.session = cfg.session;
-        sup_cfg.slot_budget = cfg.slot_budget;
-        sup_cfg.metrics = metrics;
-        for (std::size_t p = 0; p < topo.cells[a].size(); ++p) {
-            position[topo.cells[a][p]] = static_cast<std::uint32_t>(p);
-        }
-        supervisors[a] =
-            std::make_unique<net::network_supervisor>(sup_cfg, topo.cells[a].size());
-    }
-
     scale_trial_result result;
     result.attempts_per_tag.assign(n, 0);
     result.delivered_per_tag.assign(n, 0);
@@ -187,118 +130,47 @@ scale_trial_result run_scale_trial(const scale_config& cfg, const deployment& to
             ? &metrics->get_histogram("scale/slot_sinr_db", obs::snr_bounds_db())
             : nullptr;
 
-    // A robust-flag scratch table stamped per (ap, round) so membership in
-    // the current plan's robust list is O(1) per slot.
+    net::supervisor_config sup_cfg;
+    sup_cfg.session = cfg.session;
+    sup_cfg.slot_budget = cfg.slot_budget;
+    sup_cfg.metrics = metrics;
+    // A robust-flag scratch table stamped per round so membership in the
+    // current plan's robust list is O(1) per slot.
     std::vector<std::uint64_t> robust_stamp(n, 0);
     std::uint64_t stamp = 0;
-    std::vector<std::size_t> rounds_done(cell_count, 0);
-    std::vector<double> cell_end_s(cell_count, 0.0);
 
-    // Per-cell event buffers, merged by (time, seq) through the head keys:
-    // the same order one global (time, seq) queue would pop them in.
-    constexpr double no_event = std::numeric_limits<double>::infinity();
-    std::vector<cell_events> cells(cell_count);
-    std::vector<double> head_time(cell_count, no_event);
-    std::vector<std::uint64_t> head_seq(cell_count, 0);
-    std::uint64_t next_seq = 0;
-    const auto schedule = [&](std::size_t a, des_event event) {
-        event.seq = next_seq++;
-        cells[a].pending.push_back(event);
-    };
-    const auto refresh_head = [&](std::size_t a) {
-        const cell_events& cell = cells[a];
-        if (cell.head < cell.pending.size()) {
-            head_time[a] = cell.pending[cell.head].time_s;
-            head_seq[a] = cell.pending[cell.head].seq;
-        } else {
-            head_time[a] = no_event;
-        }
-    };
+    // No cell's outcome depends on another cell's events, so each non-empty
+    // cell runs its whole round loop in turn. The shared injector sees
+    // rising times within a cell and rewinds to full-scan answers between
+    // cells; a tag's own injector is only ever queried by its cell.
     for (std::size_t a = 0; a < cell_count; ++a) {
-        if (supervisors[a] == nullptr) continue;
-        des_event begin;
-        begin.kind = event_kind::round_begin;
-        begin.ap = static_cast<std::uint32_t>(a);
-        begin.time_s = 0.0;
-        schedule(a, begin);
-        refresh_head(a);
-    }
+        const std::vector<std::size_t>& members = topo.cells[a];
+        if (members.empty()) continue;
+        // An unmodified supervisor that addresses its tags by position in
+        // the cell: members[p] is the tag.
+        net::network_supervisor sup(sup_cfg, members.size());
+        const std::uint64_t cell_seed = runtime::substream(draw_seed, a);
+        std::uint64_t cell_hash = fnv1a64_offset;
+        std::uint64_t slot_index = 0;
+        double now_s = 0.0;
 
-    char line[400];
-    for (;;) {
-        std::size_t next = 0;
-        for (std::size_t a = 1; a < cell_count; ++a) {
-            if (head_time[a] < head_time[next] ||
-                (head_time[a] == head_time[next] && head_seq[a] < head_seq[next])) {
-                next = a;
-            }
-        }
-        if (head_time[next] == no_event) break;
-        cell_events& cell = cells[next];
-        const des_event ev = cell.pending[cell.head++];
-        int outcome = -1;
-
-        if (ev.kind == event_kind::round_begin) {
-            cell.pending.clear();
-            cell.head = 0;
-            auto& sup = *supervisors[ev.ap];
-            const auto& members = topo.cells[ev.ap];
-            const net::round_plan round = sup.plan_round();
-            ++stamp;
-            for (const std::uint32_t p : round.robust) robust_stamp[members[p]] = stamp;
-
-            double cursor = ev.time_s;
-            for (const std::uint32_t p : round.probes) {
-                des_event slot;
-                slot.kind = event_kind::probe_slot;
-                slot.ap = ev.ap;
-                slot.tag = static_cast<std::uint32_t>(members[p]);
-                slot.mcs = ap::robust_rung;
-                slot.time_s = cursor;
-                slot.duration_s = probe_slot_s;
-                schedule(next, slot);
-                cursor += probe_slot_s;
-            }
-            for (const std::uint32_t p : mac::tdma_scheduler::interleave_shares(
-                     round.shares)) {
-                des_event slot;
-                slot.kind = event_kind::data_slot;
-                slot.ap = ev.ap;
-                slot.tag = static_cast<std::uint32_t>(members[p]);
-                slot.mcs = robust_stamp[slot.tag] == stamp ? ap::robust_rung : tag_mcs[slot.tag];
-                slot.time_s = cursor;
-                slot.duration_s = mcs_slot_s[slot.mcs];
-                schedule(next, slot);
-                cursor += slot.duration_s;
-            }
-            // A fully quarantined, probe-less round still advances time by
-            // one robust slot so the backoff clock keeps ticking.
-            if (cursor == ev.time_s) cursor += mcs_slot_s[ap::robust_rung];
-            cell_end_s[ev.ap] = cursor;
-            ++result.rounds;
-            if (++rounds_done[ev.ap] < cfg.frames) {
-                des_event begin;
-                begin.kind = event_kind::round_begin;
-                begin.ap = ev.ap;
-                begin.time_s = cursor;
-                schedule(next, begin);
-            }
-        } else {
-            const auto shared_imp = shared_injector.at(ev.time_s, ev.duration_s);
-            const auto tag_imp = ev.tag < tag_injectors.size()
-                                     ? tag_injectors[ev.tag].at(ev.time_s, ev.duration_s)
-                                     : fault::impairment{};
+        const auto run_slot = [&](std::uint32_t p, std::size_t rung, double slot_s,
+                                  std::uint64_t kind) {
+            const std::size_t tag = members[p];
+            const auto shared_imp = shared_injector.at(now_s, slot_s);
+            const auto tag_imp = tag < tag_injectors.size() ? tag_injectors[tag].at(now_s, slot_s)
+                                                            : fault::impairment{};
             const bool powered = shared_imp.tag_powered && tag_imp.tag_powered;
             // Mirror the sample-accurate impairment application: blockage
             // shadows the tag path both ways (power x a^4), a dropout scales
             // the illuminating carrier once (power x c^2), the interferer is
             // referenced to the tag's nominal return.
-            const double a = shared_imp.tag_amplitude * tag_imp.tag_amplitude;
+            const double amp = shared_imp.tag_amplitude * tag_imp.tag_amplitude;
             const double c = shared_imp.carrier_amplitude * tag_imp.carrier_amplitude;
             const double rel_db =
                 std::max(shared_imp.interferer_rel_db, tag_imp.interferer_rel_db);
-            const double s_lin = sinr_lin[ev.tag];
-            const double signal_factor = a * a * a * a * c * c;
+            const double s_lin = sinr_lin[tag];
+            const double signal_factor = amp * amp * amp * amp * c * c;
             const double denom =
                 1.0 + (rel_db > interferer_floor_db ? s_lin * from_db(rel_db) : 0.0);
             const double sinr_eff_db = to_db(s_lin * signal_factor / denom);
@@ -306,51 +178,68 @@ scale_trial_result run_scale_trial(const scale_config& cfg, const deployment& to
 
             bool delivered = false;
             if (powered) {
-                const double per = table.per(ev.mcs, sinr_eff_db);
-                delivered = event_uniform(draw_seed, ev.seq) >= per;
+                delivered = event_uniform(cell_seed, slot_index) >= table.per(rung, sinr_eff_db);
             } else {
                 ++result.brownout_losses;
             }
-            outcome = delivered ? 1 : 0;
+            cell_hash =
+                hash_record(cell_hash, kind, slot_index, now_s, tag, rung, delivered ? 1 : 0);
+            ++slot_index;
+            now_s += slot_s;
 
-            auto& sup = *supervisors[ev.ap];
-            if (ev.kind == event_kind::probe_slot) {
+            if (kind == probe_record) {
                 ++result.probe_slots;
-                sup.record_probe(position[ev.tag], delivered);
+                sup.record_probe(p, delivered);
             } else {
                 ++result.data_slots;
-                if (sup.record_data(position[ev.tag], delivered)) {
-                    ++result.attempts_per_tag[ev.tag];
+                if (sup.record_data(p, delivered)) {
+                    ++result.attempts_per_tag[tag];
                     if (delivered) {
-                        ++result.delivered_per_tag[ev.tag];
+                        ++result.delivered_per_tag[tag];
                         ++result.delivered;
                     }
                 }
             }
+        };
+
+        for (std::size_t round_index = 0; round_index < cfg.frames; ++round_index) {
+            const double round_start_s = now_s;
+            cell_hash = hash_record(cell_hash, round_record, round_index, now_s, 0, 0, -1);
+            const net::round_plan round = sup.plan_round();
+            ++stamp;
+            for (const std::uint32_t p : round.robust) robust_stamp[members[p]] = stamp;
+            for (const std::uint32_t p : round.probes) {
+                run_slot(p, ap::robust_rung, probe_slot_s, probe_record);
+            }
+            for (const std::uint32_t p : mac::tdma_scheduler::interleave_shares(round.shares)) {
+                const std::size_t tag = members[p];
+                const std::size_t rung =
+                    robust_stamp[tag] == stamp ? ap::robust_rung : tag_mcs[tag];
+                run_slot(p, rung, mcs_slot_s[rung], data_record);
+            }
+            // A fully quarantined, probe-less round still advances time by
+            // one robust slot so the backoff clock keeps ticking.
+            if (now_s == round_start_s) now_s += mcs_slot_s[ap::robust_rung];
         }
-        refresh_head(next);
+        result.rounds += cfg.frames;
+        result.sim_time_s = std::max(result.sim_time_s, now_s);
+        result.event_log_hash = runtime::mix64(result.event_log_hash ^ cell_hash);
 
-        const std::size_t length = format_event_line(ev, outcome, line);
-        result.event_log_hash = fnv1a64({line, length}, result.event_log_hash);
-        if (cfg.record_event_log) result.event_log.append(line, length);
-    }
-
-    result.events = next_seq;
-    result.sim_time_s = *std::max_element(cell_end_s.begin(), cell_end_s.end());
-    for (std::size_t t = 0; t < n; ++t) {
-        const auto& sup = supervisors[topo.tags[t].ap];
-        const net::tag_session& session = sup->session(position[t]);
-        result.transitions += session.transitions().size();
-        for (const auto& transition : session.transitions()) {
-            if (transition.from == net::session_state::probing &&
-                transition.to == net::session_state::active) {
-                ++result.readmissions;
+        for (std::uint32_t p = 0; p < members.size(); ++p) {
+            const net::tag_session& session = sup.session(p);
+            result.transitions += session.transitions().size();
+            for (const auto& transition : session.transitions()) {
+                if (transition.from == net::session_state::probing &&
+                    transition.to == net::session_state::active) {
+                    ++result.readmissions;
+                }
+            }
+            for (const std::size_t latency : session.readmit_latencies_rounds()) {
+                result.readmit_latencies_rounds.push_back(latency);
             }
         }
-        for (const std::size_t latency : session.readmit_latencies_rounds()) {
-            result.readmit_latencies_rounds.push_back(latency);
-        }
     }
+    result.events = result.rounds + result.data_slots + result.probe_slots;
 
     if (metrics != nullptr) {
         metrics->get_counter("scale/rounds").add(result.rounds);
@@ -491,7 +380,6 @@ scale_result run_scale(const scale_config& cfg, std::size_t jobs,
         }
         result.event_log_hash = runtime::mix64(result.event_log_hash ^
                                                trial.event_log_hash);
-        if (cfg.record_event_log) result.event_logs.push_back(trial.event_log);
     }
     result.readmit_latency_mean_rounds =
         result.readmit_latency_count > 0

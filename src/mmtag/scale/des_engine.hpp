@@ -5,22 +5,21 @@
 // at the tag's per-slot SINR — static topology SINR perturbed by the
 // fault::multi_tag_plan impairments active over the slot window.
 //
+// Cells share no state an outcome depends on (each has its own supervisor,
+// static SINRs and per-tag fault timelines), so the engine runs each
+// non-empty cell's whole round loop in turn, in cell order: plan the round,
+// run its probe slots, then its data slots. There is no event queue.
+//
 // Determinism contract (same as the Monte-Carlo runtime's):
-//   * every event gets a global sequence number when it is scheduled; each
-//     cell buffers its pending events (the current round's slots, then its
-//     next round start) already in (time, sequence) order, and the engine
-//     merges the cell heads by (time, sequence), so simultaneous events —
-//     in one cell or across cells — run in creation order on every run.
-//     There is no global event queue;
-//   * each packet draw is keyed by the event's global sequence number
-//     through runtime::substream — outcomes depend on *which* event, never
-//     on scheduling or --jobs;
+//   * each packet draw is keyed by (cell, per-cell slot index) through
+//     runtime::substream, so a cell's outcomes depend on nothing outside
+//     the cell and never on --jobs;
+//   * every event (round begin or slot) feeds its cell's hash as a fixed
+//     binary record — kind, round or slot index, time bits, tag, rung,
+//     outcome — mixed with runtime::mix64; the cell hashes fold in cell
+//     order into the trial's `event_log_hash`. No text log is formatted;
 //   * trials fan out across the thread pool into pre-allocated slots and
 //     fold back in trial order.
-// Every event also feeds a running FNV-1a hash of its formatted log line
-// "seq time(%.9f) ap kind tag mcs outcome" (recorded verbatim only when
-// `record_event_log` is set), so byte-identity of whole runs is checked
-// cheaply across --jobs values.
 //
 // Impairment -> SINR mapping mirrors how core::link_simulator applies the
 // same impairments to samples: blockage shadows the tag path twice (power
@@ -72,8 +71,6 @@ struct scale_config {
     std::uint64_t seed = 1;
     std::uint64_t fault_seed = 99;
     std::size_t trials = 1;
-    /// Keep the full event log text per trial (the hash is always kept).
-    bool record_event_log = false;
 };
 
 /// One trial's raw outcome; merged across trials into scale_result.
@@ -90,8 +87,7 @@ struct scale_trial_result {
     std::uint64_t transitions = 0;
     std::uint64_t readmissions = 0;
     std::vector<std::size_t> readmit_latencies_rounds;
-    std::uint64_t event_log_hash = 0; ///< FNV-1a over every event line
-    std::string event_log;            ///< only when record_event_log
+    std::uint64_t event_log_hash = 0; ///< cell hashes of the event records, folded
 };
 
 struct scale_result {
@@ -113,8 +109,7 @@ struct scale_result {
     std::uint64_t readmit_latency_max_rounds = 0;
     /// Ordered fold of per-trial event-log hashes.
     std::uint64_t event_log_hash = 0;
-    std::vector<std::string> event_logs; ///< per trial, when recorded
-    bool cache_hit = false;              ///< phy_table came from disk
+    bool cache_hit = false; ///< phy_table came from disk
     std::string phy_table_path;
 
     /// Delivered payload bits per second of simulated time.
