@@ -424,7 +424,7 @@ run_step parse_scale(const option_set& options)
                     static_cast<unsigned long long>(result.readmit_latency_max_rounds));
         const std::size_t jobs = result.jobs;
         return run_result{
-            .tasks = cfg.trials,
+            .tasks = cfg.trials * cfg.topology.ap_count, // one per (trial, cell)
             .jobs = jobs,
             .document = [result = std::move(result)] { return result.to_json().dump(2); }};
     };

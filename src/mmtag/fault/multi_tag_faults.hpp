@@ -59,27 +59,43 @@ struct multi_tag_config {
 class multi_tag_plan {
 public:
     /// Faulted tags are indices [0, faulted_count); throws when
-    /// faulted_count > tag_count or the config is degenerate.
+    /// faulted_count > tag_count or the config is degenerate. Draws only the
+    /// storm list (one Poisson process over every faulted tag) and the
+    /// shared timeline; per-tag timelines are built on demand.
     multi_tag_plan(const multi_tag_config& cfg, std::size_t tag_count,
                    std::size_t faulted_count, std::uint64_t seed);
 
     [[nodiscard]] const multi_tag_config& parameters() const { return cfg_; }
-    [[nodiscard]] std::size_t tag_count() const { return per_tag_.size(); }
+    [[nodiscard]] std::size_t tag_count() const { return tag_count_; }
+    [[nodiscard]] std::size_t faulted_count() const { return faulted_count_; }
 
     /// Shared-channel timeline (the persistent interferer).
     [[nodiscard]] const fault_schedule& shared() const { return shared_; }
-    /// Per-tag timelines; healthy tags hold empty schedules.
-    [[nodiscard]] const std::vector<fault_schedule>& per_tag() const { return per_tag_; }
+    /// Tag `tag`'s normalised timeline: the storms that cover it, its
+    /// rolling brownouts and its independent background draw (keyed by
+    /// seed and tag, so building one tag's timeline never draws for
+    /// another). A healthy tag gets an empty schedule without drawing.
+    /// Throws std::out_of_range for tag >= tag_count().
+    [[nodiscard]] fault_schedule tag_schedule(std::size_t tag) const;
 
     /// Latest end over every scheduled event (shared and per-tag) — the
     /// instant after which the whole network is physically healthy again.
-    [[nodiscard]] double last_fault_end_s() const { return last_end_s_; }
+    /// Builds every faulted tag's timeline.
+    [[nodiscard]] double last_fault_end_s() const;
 
 private:
+    /// One storm and the first tag of the span it shadows.
+    struct storm {
+        fault_event event;
+        std::size_t first_tag = 0;
+    };
+
     multi_tag_config cfg_;
+    std::size_t tag_count_ = 0;
+    std::size_t faulted_count_ = 0;
+    std::uint64_t seed_ = 0;
     fault_schedule shared_;
-    std::vector<fault_schedule> per_tag_;
-    double last_end_s_ = 0.0;
+    std::vector<storm> storms_; ///< sorted by first_tag
 };
 
 } // namespace mmtag::fault

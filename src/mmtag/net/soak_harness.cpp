@@ -287,8 +287,8 @@ soak_trial_result run_soak_trial(const soak_config& cfg, std::size_t trial,
         shared_injector.emplace(plan->shared());
         if (registry != nullptr) shared_injector->attach_metrics(registry);
         tag_injector_storage.reserve(n);
-        for (const auto& schedule : plan->per_tag()) {
-            tag_injector_storage.emplace_back(schedule);
+        for (std::size_t tag = 0; tag < n; ++tag) {
+            tag_injector_storage.emplace_back(plan->tag_schedule(tag));
         }
         std::vector<fault::fault_injector*> pointers;
         pointers.reserve(n);

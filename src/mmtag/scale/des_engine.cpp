@@ -4,6 +4,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdio>
+#include <span>
 #include <stdexcept>
 
 #include "mmtag/ap/rate_adaptation.hpp"
@@ -11,6 +12,7 @@
 #include "mmtag/mac/tdma.hpp"
 #include "mmtag/net/network_supervisor.hpp"
 #include "mmtag/obs/metrics_registry.hpp"
+#include "mmtag/obs/trace.hpp"
 #include "mmtag/phy/frame.hpp"
 #include "mmtag/runtime/json_io.hpp"
 #include "mmtag/runtime/thread_pool.hpp"
@@ -63,29 +65,32 @@ double event_uniform(std::uint64_t cell_seed, std::uint64_t slot_index)
     return static_cast<double>(runtime::substream(cell_seed, slot_index) >> 11) * 0x1.0p-53;
 }
 
-} // namespace
+/// What every cell of every trial reads and none changes: each tag's static
+/// rung, the per-rung slot airtimes and the fault mix rescaled to the
+/// nominal schedule length. It depends on no trial, so a run builds it once.
+struct des_inputs {
+    std::vector<std::size_t> tag_mcs;
+    std::vector<double> mcs_slot_s;
+    double probe_slot_s = 0.0;
+    fault::multi_tag_config faults;
+};
 
-scale_trial_result run_scale_trial(const scale_config& cfg, const deployment& topo,
-                                   const phy_table& table, std::size_t trial,
-                                   obs::metrics_registry* metrics)
+des_inputs make_inputs(const scale_config& cfg, const deployment& topo)
 {
-    const std::size_t n = topo.tags.size();
-    const std::size_t cell_count = topo.aps.size();
-    const std::uint64_t tseed = runtime::trial_seed(cfg.seed, 0, trial);
-    const std::uint64_t draw_seed = runtime::substream(tseed, 0);
-    const std::uint64_t fault_seed = runtime::trial_seed(cfg.fault_seed, 0, trial);
-
-    // Per-tag static decisions and per-MCS slot airtimes, fixed for the run.
+    des_inputs in;
     const mac::tdma_config mac{};
-    std::vector<double> mcs_slot_s(ap::rate_table().size());
-    for (std::size_t i = 0; i < mcs_slot_s.size(); ++i) {
-        mcs_slot_s[i] = slot_airtime_s(i, cfg.payload_bytes, cfg.scenario.symbol_rate_hz, mac);
+    in.mcs_slot_s.resize(ap::rate_table().size());
+    for (std::size_t i = 0; i < in.mcs_slot_s.size(); ++i) {
+        in.mcs_slot_s[i] =
+            slot_airtime_s(i, cfg.payload_bytes, cfg.scenario.symbol_rate_hz, mac);
     }
-    const double probe_slot_s = slot_airtime_s(ap::robust_rung, ap::probe_payload_bytes,
-                                               cfg.scenario.symbol_rate_hz, mac);
+    in.probe_slot_s = slot_airtime_s(ap::robust_rung, ap::probe_payload_bytes,
+                                     cfg.scenario.symbol_rate_hz, mac);
     const ap::rate_adapter adapter(cfg.margin_db);
-    std::vector<std::size_t> tag_mcs(n);
-    for (std::size_t t = 0; t < n; ++t) tag_mcs[t] = adapter.select_index(topo.tags[t].sinr_db);
+    in.tag_mcs.resize(topo.tags.size());
+    for (std::size_t t = 0; t < topo.tags.size(); ++t) {
+        in.tag_mcs[t] = adapter.select_index(topo.tags[t].sinr_db);
+    }
 
     // The simulated duration spans three orders of magnitude as the tag
     // count sweeps 100 -> 10k, so absolute fault windows from the config
@@ -97,147 +102,218 @@ scale_trial_result run_scale_trial(const scale_config& cfg, const deployment& to
     // tail where quarantined tags re-admit. Storm/brownout/background
     // fields are per-second rates or short transients and stay absolute.
     double nominal_round_s = 0.0;
-    for (std::size_t a = 0; a < cell_count; ++a) {
+    for (const std::vector<std::size_t>& members : topo.cells) {
         double round_s = 0.0;
-        for (const std::size_t t : topo.cells[a]) round_s += mcs_slot_s[tag_mcs[t]];
+        for (const std::size_t t : members) round_s += in.mcs_slot_s[in.tag_mcs[t]];
         nominal_round_s = std::max(nominal_round_s, round_s);
     }
     const double nominal_duration_s =
         std::max(1e-6, nominal_round_s * static_cast<double>(cfg.frames));
-    fault::multi_tag_config faults = cfg.faults;
-    faults.horizon_s = nominal_duration_s;
-    faults.interferer_start_s = 0.1 * nominal_duration_s;
-    faults.interferer_duration_s = 0.3 * nominal_duration_s;
+    in.faults = cfg.faults;
+    in.faults.horizon_s = nominal_duration_s;
+    in.faults.interferer_start_s = 0.1 * nominal_duration_s;
+    in.faults.interferer_duration_s = 0.3 * nominal_duration_s;
+    return in;
+}
 
-    const std::size_t faulted = std::min(cfg.faulted, n);
-    const fault::multi_tag_plan plan(faults, n, faulted, fault_seed);
-    fault::fault_injector shared_injector(plan.shared());
-    // Tags [faulted, n) hold empty schedules, which impair nothing: only the
-    // faulted tags get an injector.
-    std::vector<fault::fault_injector> tag_injectors;
-    tag_injectors.reserve(faulted);
-    for (std::size_t t = 0; t < faulted; ++t) tag_injectors.emplace_back(plan.per_tag()[t]);
-    std::vector<double> sinr_lin(n);
-    for (std::size_t t = 0; t < n; ++t) sinr_lin[t] = from_db(topo.tags[t].sinr_db);
+/// One trial's context, read by each of its cells: the packet-draw stream
+/// and the fault plan's storm list and shared timeline. Tag timelines are
+/// built by the cell that owns the tag.
+struct trial_context {
+    std::uint64_t draw_seed = 0;
+    fault::multi_tag_plan plan;
+};
 
-    scale_trial_result result;
-    result.attempts_per_tag.assign(n, 0);
-    result.delivered_per_tag.assign(n, 0);
-    result.event_log_hash = fnv1a64_offset;
+trial_context make_trial(const scale_config& cfg, const des_inputs& in, std::size_t tag_count,
+                         std::size_t trial)
+{
+    const std::uint64_t tseed = runtime::trial_seed(cfg.seed, 0, trial);
+    return {runtime::substream(tseed, 0),
+            fault::multi_tag_plan(in.faults, tag_count, std::min(cfg.faulted, tag_count),
+                                  runtime::trial_seed(cfg.fault_seed, 0, trial))};
+}
 
+/// One cell's outcome. Per-tag counts are indexed by position in the cell.
+struct cell_result {
+    std::vector<std::uint64_t> attempts;
+    std::vector<std::uint64_t> delivered_at;
+    std::uint64_t data_slots = 0;
+    std::uint64_t probe_slots = 0;
+    std::uint64_t delivered = 0;
+    std::uint64_t brownout_losses = 0;
+    std::uint64_t transitions = 0;
+    std::uint64_t readmissions = 0;
+    std::vector<std::size_t> readmit_latencies_rounds;
+    double end_s = 0.0;
+    std::uint64_t hash = fnv1a64_offset;
+    obs::metrics_registry metrics; ///< filled only when metrics are collected
+};
+
+/// Runs cell `cell`'s whole round loop: plan the round, run its probe slots,
+/// then its data slots. Reads nothing another cell writes, so cells run in
+/// any order, on any thread.
+cell_result run_cell(const scale_config& cfg, const deployment& topo, const phy_table& table,
+                     const des_inputs& in, const trial_context& trial, std::size_t cell,
+                     bool collect_metrics)
+{
+    const std::vector<std::size_t>& members = topo.cells[cell];
+    cell_result out;
+    if (members.empty()) return out;
+    const std::size_t size = members.size();
+    out.attempts.assign(size, 0);
+    out.delivered_at.assign(size, 0);
+    obs::metrics_registry* metrics = collect_metrics ? &out.metrics : nullptr;
     obs::histogram* sinr_hist =
         metrics != nullptr
             ? &metrics->get_histogram("scale/slot_sinr_db", obs::snr_bounds_db())
             : nullptr;
 
+    // The cell's own copy of the shared timeline, and an injector for each
+    // faulted member only: a healthy tag's timeline impairs nothing.
+    constexpr std::uint32_t no_injector = ~std::uint32_t{0};
+    fault::fault_injector shared_injector(trial.plan.shared());
+    std::vector<fault::fault_injector> tag_injectors;
+    std::vector<std::uint32_t> injector_of(size, no_injector);
+    std::vector<double> sinr_lin(size);
+    for (std::size_t p = 0; p < size; ++p) {
+        const std::size_t tag = members[p];
+        sinr_lin[p] = from_db(topo.tags[tag].sinr_db);
+        if (tag < trial.plan.faulted_count()) {
+            injector_of[p] = static_cast<std::uint32_t>(tag_injectors.size());
+            tag_injectors.emplace_back(trial.plan.tag_schedule(tag));
+        }
+    }
+
     net::supervisor_config sup_cfg;
     sup_cfg.session = cfg.session;
     sup_cfg.slot_budget = cfg.slot_budget;
     sup_cfg.metrics = metrics;
+    // An unmodified supervisor that addresses its tags by position in the
+    // cell: members[p] is the tag.
+    net::network_supervisor sup(sup_cfg, size);
+    const std::uint64_t cell_seed = runtime::substream(trial.draw_seed, cell);
+    std::uint64_t slot_index = 0;
+    double now_s = 0.0;
     // A robust-flag scratch table stamped per round so membership in the
     // current plan's robust list is O(1) per slot.
-    std::vector<std::uint64_t> robust_stamp(n, 0);
+    std::vector<std::uint64_t> robust_stamp(size, 0);
     std::uint64_t stamp = 0;
 
-    // No cell's outcome depends on another cell's events, so each non-empty
-    // cell runs its whole round loop in turn. The shared injector sees
-    // rising times within a cell and rewinds to full-scan answers between
-    // cells; a tag's own injector is only ever queried by its cell.
-    for (std::size_t a = 0; a < cell_count; ++a) {
+    const auto run_slot = [&](std::uint32_t p, std::size_t rung, double slot_s,
+                              std::uint64_t kind) {
+        const std::size_t tag = members[p];
+        const auto shared_imp = shared_injector.at(now_s, slot_s);
+        const auto tag_imp = injector_of[p] != no_injector
+                                 ? tag_injectors[injector_of[p]].at(now_s, slot_s)
+                                 : fault::impairment{};
+        const bool powered = shared_imp.tag_powered && tag_imp.tag_powered;
+        // Mirror the sample-accurate impairment application: blockage
+        // shadows the tag path both ways (power x a^4), a dropout scales
+        // the illuminating carrier once (power x c^2), the interferer is
+        // referenced to the tag's nominal return.
+        const double amp = shared_imp.tag_amplitude * tag_imp.tag_amplitude;
+        const double c = shared_imp.carrier_amplitude * tag_imp.carrier_amplitude;
+        const double rel_db = std::max(shared_imp.interferer_rel_db, tag_imp.interferer_rel_db);
+        const double s_lin = sinr_lin[p];
+        const double signal_factor = amp * amp * amp * amp * c * c;
+        const double denom =
+            1.0 + (rel_db > interferer_floor_db ? s_lin * from_db(rel_db) : 0.0);
+        const double sinr_eff_db = to_db(s_lin * signal_factor / denom);
+        if (sinr_hist != nullptr) sinr_hist->observe(sinr_eff_db);
+
+        bool delivered = false;
+        if (powered) {
+            delivered = event_uniform(cell_seed, slot_index) >= table.per(rung, sinr_eff_db);
+        } else {
+            ++out.brownout_losses;
+        }
+        out.hash = hash_record(out.hash, kind, slot_index, now_s, tag, rung, delivered ? 1 : 0);
+        ++slot_index;
+        now_s += slot_s;
+
+        if (kind == probe_record) {
+            ++out.probe_slots;
+            sup.record_probe(p, delivered);
+        } else {
+            ++out.data_slots;
+            if (sup.record_data(p, delivered)) {
+                ++out.attempts[p];
+                if (delivered) {
+                    ++out.delivered_at[p];
+                    ++out.delivered;
+                }
+            }
+        }
+    };
+
+    for (std::size_t round_index = 0; round_index < cfg.frames; ++round_index) {
+        const double round_start_s = now_s;
+        out.hash = hash_record(out.hash, round_record, round_index, now_s, 0, 0, -1);
+        const net::round_plan round = sup.plan_round();
+        ++stamp;
+        for (const std::uint32_t p : round.robust) robust_stamp[p] = stamp;
+        for (const std::uint32_t p : round.probes) {
+            run_slot(p, ap::robust_rung, in.probe_slot_s, probe_record);
+        }
+        for (const std::uint32_t p : mac::tdma_scheduler::interleave_shares(round.shares)) {
+            const std::size_t rung =
+                robust_stamp[p] == stamp ? ap::robust_rung : in.tag_mcs[members[p]];
+            run_slot(p, rung, in.mcs_slot_s[rung], data_record);
+        }
+        // A fully quarantined, probe-less round still advances time by
+        // one robust slot so the backoff clock keeps ticking.
+        if (now_s == round_start_s) now_s += in.mcs_slot_s[ap::robust_rung];
+    }
+    out.end_s = now_s;
+
+    for (std::uint32_t p = 0; p < size; ++p) {
+        const net::tag_session& session = sup.session(p);
+        out.transitions += session.transitions().size();
+        for (const auto& transition : session.transitions()) {
+            if (transition.from == net::session_state::probing &&
+                transition.to == net::session_state::active) {
+                ++out.readmissions;
+            }
+        }
+        const auto& latencies = session.readmit_latencies_rounds();
+        out.readmit_latencies_rounds.insert(out.readmit_latencies_rounds.end(),
+                                            latencies.begin(), latencies.end());
+    }
+    return out;
+}
+
+/// Folds one trial's cell results, in cell order, into the trial's
+/// outcome; `metrics` (optional) receives the cells' registries in the same
+/// order and then the trial's scale/... counters.
+scale_trial_result fold_trial(const scale_config& cfg, const deployment& topo,
+                              std::span<const cell_result> cells,
+                              obs::metrics_registry* metrics)
+{
+    scale_trial_result result;
+    result.attempts_per_tag.assign(topo.tags.size(), 0);
+    result.delivered_per_tag.assign(topo.tags.size(), 0);
+    result.event_log_hash = fnv1a64_offset;
+    for (std::size_t a = 0; a < cells.size(); ++a) {
         const std::vector<std::size_t>& members = topo.cells[a];
         if (members.empty()) continue;
-        // An unmodified supervisor that addresses its tags by position in
-        // the cell: members[p] is the tag.
-        net::network_supervisor sup(sup_cfg, members.size());
-        const std::uint64_t cell_seed = runtime::substream(draw_seed, a);
-        std::uint64_t cell_hash = fnv1a64_offset;
-        std::uint64_t slot_index = 0;
-        double now_s = 0.0;
-
-        const auto run_slot = [&](std::uint32_t p, std::size_t rung, double slot_s,
-                                  std::uint64_t kind) {
-            const std::size_t tag = members[p];
-            const auto shared_imp = shared_injector.at(now_s, slot_s);
-            const auto tag_imp = tag < tag_injectors.size() ? tag_injectors[tag].at(now_s, slot_s)
-                                                            : fault::impairment{};
-            const bool powered = shared_imp.tag_powered && tag_imp.tag_powered;
-            // Mirror the sample-accurate impairment application: blockage
-            // shadows the tag path both ways (power x a^4), a dropout scales
-            // the illuminating carrier once (power x c^2), the interferer is
-            // referenced to the tag's nominal return.
-            const double amp = shared_imp.tag_amplitude * tag_imp.tag_amplitude;
-            const double c = shared_imp.carrier_amplitude * tag_imp.carrier_amplitude;
-            const double rel_db =
-                std::max(shared_imp.interferer_rel_db, tag_imp.interferer_rel_db);
-            const double s_lin = sinr_lin[tag];
-            const double signal_factor = amp * amp * amp * amp * c * c;
-            const double denom =
-                1.0 + (rel_db > interferer_floor_db ? s_lin * from_db(rel_db) : 0.0);
-            const double sinr_eff_db = to_db(s_lin * signal_factor / denom);
-            if (sinr_hist != nullptr) sinr_hist->observe(sinr_eff_db);
-
-            bool delivered = false;
-            if (powered) {
-                delivered = event_uniform(cell_seed, slot_index) >= table.per(rung, sinr_eff_db);
-            } else {
-                ++result.brownout_losses;
-            }
-            cell_hash =
-                hash_record(cell_hash, kind, slot_index, now_s, tag, rung, delivered ? 1 : 0);
-            ++slot_index;
-            now_s += slot_s;
-
-            if (kind == probe_record) {
-                ++result.probe_slots;
-                sup.record_probe(p, delivered);
-            } else {
-                ++result.data_slots;
-                if (sup.record_data(p, delivered)) {
-                    ++result.attempts_per_tag[tag];
-                    if (delivered) {
-                        ++result.delivered_per_tag[tag];
-                        ++result.delivered;
-                    }
-                }
-            }
-        };
-
-        for (std::size_t round_index = 0; round_index < cfg.frames; ++round_index) {
-            const double round_start_s = now_s;
-            cell_hash = hash_record(cell_hash, round_record, round_index, now_s, 0, 0, -1);
-            const net::round_plan round = sup.plan_round();
-            ++stamp;
-            for (const std::uint32_t p : round.robust) robust_stamp[members[p]] = stamp;
-            for (const std::uint32_t p : round.probes) {
-                run_slot(p, ap::robust_rung, probe_slot_s, probe_record);
-            }
-            for (const std::uint32_t p : mac::tdma_scheduler::interleave_shares(round.shares)) {
-                const std::size_t tag = members[p];
-                const std::size_t rung =
-                    robust_stamp[tag] == stamp ? ap::robust_rung : tag_mcs[tag];
-                run_slot(p, rung, mcs_slot_s[rung], data_record);
-            }
-            // A fully quarantined, probe-less round still advances time by
-            // one robust slot so the backoff clock keeps ticking.
-            if (now_s == round_start_s) now_s += mcs_slot_s[ap::robust_rung];
+        const cell_result& cell = cells[a];
+        for (std::size_t p = 0; p < members.size(); ++p) {
+            result.attempts_per_tag[members[p]] = cell.attempts[p];
+            result.delivered_per_tag[members[p]] = cell.delivered_at[p];
         }
+        result.data_slots += cell.data_slots;
+        result.probe_slots += cell.probe_slots;
+        result.delivered += cell.delivered;
+        result.brownout_losses += cell.brownout_losses;
         result.rounds += cfg.frames;
-        result.sim_time_s = std::max(result.sim_time_s, now_s);
-        result.event_log_hash = runtime::mix64(result.event_log_hash ^ cell_hash);
-
-        for (std::uint32_t p = 0; p < members.size(); ++p) {
-            const net::tag_session& session = sup.session(p);
-            result.transitions += session.transitions().size();
-            for (const auto& transition : session.transitions()) {
-                if (transition.from == net::session_state::probing &&
-                    transition.to == net::session_state::active) {
-                    ++result.readmissions;
-                }
-            }
-            for (const std::size_t latency : session.readmit_latencies_rounds()) {
-                result.readmit_latencies_rounds.push_back(latency);
-            }
-        }
+        result.sim_time_s = std::max(result.sim_time_s, cell.end_s);
+        result.transitions += cell.transitions;
+        result.readmissions += cell.readmissions;
+        result.readmit_latencies_rounds.insert(result.readmit_latencies_rounds.end(),
+                                               cell.readmit_latencies_rounds.begin(),
+                                               cell.readmit_latencies_rounds.end());
+        result.event_log_hash = runtime::mix64(result.event_log_hash ^ cell.hash);
+        if (metrics != nullptr) metrics->merge(cell.metrics);
     }
     result.events = result.rounds + result.data_slots + result.probe_slots;
 
@@ -252,6 +328,22 @@ scale_trial_result run_scale_trial(const scale_config& cfg, const deployment& to
         metrics->get_gauge("scale/sim_time_s").set(result.sim_time_s);
     }
     return result;
+}
+
+} // namespace
+
+scale_trial_result run_scale_trial(const scale_config& cfg, const deployment& topo,
+                                   const phy_table& table, std::size_t trial,
+                                   obs::metrics_registry* metrics)
+{
+    const des_inputs in = make_inputs(cfg, topo);
+    const trial_context context = make_trial(cfg, in, topo.tags.size(), trial);
+    std::vector<cell_result> cells;
+    cells.reserve(topo.cells.size());
+    for (std::size_t a = 0; a < topo.cells.size(); ++a) {
+        cells.push_back(run_cell(cfg, topo, table, in, context, a, metrics != nullptr));
+    }
+    return fold_trial(cfg, topo, cells, metrics);
 }
 
 double scale_result::goodput_bps() const
@@ -336,16 +428,41 @@ scale_result run_scale(const scale_config& cfg, std::size_t jobs,
     phy_table_config table_cfg = cfg.phy;
     table_cfg.scenario = cfg.scenario;
     table_cfg.payload_bytes = cfg.payload_bytes;
-    auto cache = phy_table::load_or_generate(table_cfg, jobs, cache_dir);
+    const auto cache = [&] {
+        const obs::trace_span span("scale.table_load", "scale");
+        return phy_table::load_or_generate(table_cfg, jobs, cache_dir);
+    }();
 
     runtime::thread_pool pool(jobs);
-    const deployment topo = make_deployment(cfg.topology, cfg.scenario, pool);
-    std::vector<obs::metrics_registry> registries(metrics != nullptr ? cfg.trials : 0);
-    const auto trials = runtime::ordered_parallel_results(
-        pool, cfg.trials, [&](std::size_t trial) {
-            obs::metrics_registry* registry =
-                metrics != nullptr ? &registries[trial] : nullptr;
-            return run_scale_trial(cfg, topo, cache.table, trial, registry);
+    const deployment topo = [&] {
+        const obs::trace_span span("scale.topology", "scale");
+        return make_deployment(cfg.topology, cfg.scenario, pool);
+    }();
+    des_inputs in;
+    std::vector<trial_context> contexts;
+    {
+        const obs::trace_span span("scale.plan", "scale");
+        in = make_inputs(cfg, topo);
+        contexts.reserve(cfg.trials);
+        for (std::size_t trial = 0; trial < cfg.trials; ++trial) {
+            contexts.push_back(make_trial(cfg, in, topo.tags.size(), trial));
+        }
+    }
+
+    // One flat (trial, cell) task list: the pool does not nest, and the
+    // cells of one trial are its units of independent work.
+    const std::size_t cell_count = topo.cells.size();
+    const auto cells = runtime::ordered_parallel_results(
+        pool, cfg.trials * cell_count, [&](std::size_t task) {
+            const std::size_t trial = task / cell_count;
+            const std::size_t cell = task % cell_count;
+            const obs::trace_span span(
+                "scale.cell", "scale",
+                obs::tracer::active() ? "{\"trial\": " + std::to_string(trial) +
+                                            ", \"cell\": " + std::to_string(cell) + "}"
+                                      : std::string{});
+            return run_cell(cfg, topo, cache.table, in, contexts[trial], cell,
+                            metrics != nullptr);
         });
 
     scale_result result;
@@ -357,10 +474,15 @@ scale_result run_scale(const scale_config& cfg, std::size_t jobs,
     result.delivered_per_tag.assign(topo.tags.size(), 0);
     result.event_log_hash = fnv1a64_offset;
     std::uint64_t latency_sum = 0;
-    for (const auto& trial : trials) {
-        for (std::size_t t = 0; t < topo.tags.size(); ++t) {
-            result.attempts_per_tag[t] += trial.attempts_per_tag[t];
-            result.delivered_per_tag[t] += trial.delivered_per_tag[t];
+    for (std::size_t t = 0; t < cfg.trials; ++t) {
+        obs::metrics_registry registry;
+        const scale_trial_result trial =
+            fold_trial(cfg, topo, std::span(cells).subspan(t * cell_count, cell_count),
+                       metrics != nullptr ? &registry : nullptr);
+        if (metrics != nullptr) metrics->merge(registry);
+        for (std::size_t tag = 0; tag < topo.tags.size(); ++tag) {
+            result.attempts_per_tag[tag] += trial.attempts_per_tag[tag];
+            result.delivered_per_tag[tag] += trial.delivered_per_tag[tag];
         }
         result.data_slots += trial.data_slots;
         result.probe_slots += trial.probe_slots;
@@ -386,9 +508,6 @@ scale_result run_scale(const scale_config& cfg, std::size_t jobs,
             ? static_cast<double>(latency_sum) /
                   static_cast<double>(result.readmit_latency_count)
             : 0.0;
-    if (metrics != nullptr) {
-        for (const auto& registry : registries) metrics->merge(registry);
-    }
     return result;
 }
 

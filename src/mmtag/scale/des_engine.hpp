@@ -5,10 +5,14 @@
 // at the tag's per-slot SINR — static topology SINR perturbed by the
 // fault::multi_tag_plan impairments active over the slot window.
 //
-// Cells share no state an outcome depends on (each has its own supervisor,
-// static SINRs and per-tag fault timelines), so the engine runs each
-// non-empty cell's whole round loop in turn, in cell order: plan the round,
-// run its probe slots, then its data slots. There is no event queue.
+// Cells share no state an outcome depends on: each has its own supervisor,
+// static SINRs, copy of the shared fault timeline and per-tag fault
+// timelines, which it builds for its own faulted tags from the trial's
+// fault plan. So each cell is one task that runs its whole round loop: plan
+// the round, run its probe slots, then its data slots. There is no event
+// queue. run_scale puts every (trial, cell) pair of the run on the thread
+// pool as one flat task list; run_scale_trial runs one trial's cells
+// inline, in cell order. Both run the same cell body.
 //
 // Determinism contract (same as the Monte-Carlo runtime's):
 //   * each packet draw is keyed by (cell, per-cell slot index) through
@@ -18,8 +22,9 @@
 //     binary record — kind, round or slot index, time bits, tag, rung,
 //     outcome — mixed with runtime::mix64; the cell hashes fold in cell
 //     order into the trial's `event_log_hash`. No text log is formatted;
-//   * trials fan out across the thread pool into pre-allocated slots and
-//     fold back in trial order.
+//   * each cell result, metrics registry included, lands in a
+//     pre-allocated slot, and the results fold in (trial, cell) order,
+//     whatever the job count.
 //
 // Impairment -> SINR mapping mirrors how core::link_simulator applies the
 // same impairments to samples: blockage shadows the tag path twice (power
@@ -120,8 +125,10 @@ struct scale_result {
     [[nodiscard]] runtime::json_value to_json() const;
 };
 
-/// Runs one trial sequentially against a prebuilt deployment + phy table.
-/// Exposed for the determinism tests; run_scale is the normal entry point.
+/// Runs one trial's cells inline, in cell order, against a prebuilt
+/// deployment + phy table, and folds them as run_scale does: the result
+/// equals that trial's share of run_scale's. Exposed for the determinism
+/// tests and the traced benchmark; run_scale is the normal entry point.
 [[nodiscard]] scale_trial_result run_scale_trial(const scale_config& cfg,
                                                  const deployment& topo,
                                                  const phy_table& table,
@@ -134,11 +141,13 @@ struct scale_result {
 /// configuration fails before the phy table is calibrated or written.
 void validate(const scale_config& cfg);
 
-/// Validates `cfg`, builds the deployment, loads or generates the phy table
-/// (disk cache under `cache_dir`), runs `cfg.trials` trials on `jobs`
-/// workers, and folds the results in trial order. `metrics` (optional)
-/// receives the merged scale/... and net/... registries, folded
-/// deterministically.
+/// Validates `cfg`, loads or generates the phy table (disk cache under
+/// `cache_dir`), builds the deployment and each trial's fault plan, runs
+/// every (trial, cell) task on `jobs` workers, and folds the results in
+/// (trial, cell) order. `metrics` (optional) receives the merged scale/...
+/// and net/... registries, folded deterministically. With a trace session
+/// active it records scale.table_load, scale.topology, scale.plan and one
+/// scale.cell span per task.
 [[nodiscard]] scale_result run_scale(const scale_config& cfg, std::size_t jobs,
                                      obs::metrics_registry* metrics = nullptr,
                                      const std::string& cache_dir = "bench/out");

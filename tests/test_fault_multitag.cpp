@@ -142,10 +142,12 @@ TEST(multi_tag_plan, same_seed_reproduces_the_exact_timelines)
 {
     const multi_tag_plan a(plan_config(), 6, 3, 77);
     const multi_tag_plan b(plan_config(), 6, 3, 77);
-    ASSERT_EQ(a.per_tag().size(), b.per_tag().size());
-    for (std::size_t tag = 0; tag < a.per_tag().size(); ++tag) {
-        const auto& ea = a.per_tag()[tag].events();
-        const auto& eb = b.per_tag()[tag].events();
+    ASSERT_EQ(a.tag_count(), b.tag_count());
+    for (std::size_t tag = 0; tag < a.tag_count(); ++tag) {
+        const fault_schedule sa = a.tag_schedule(tag);
+        const fault_schedule sb = b.tag_schedule(tag);
+        const auto& ea = sa.events();
+        const auto& eb = sb.events();
         ASSERT_EQ(ea.size(), eb.size()) << "tag " << tag;
         for (std::size_t i = 0; i < ea.size(); ++i) {
             EXPECT_EQ(ea[i].kind, eb[i].kind);
@@ -159,8 +161,10 @@ TEST(multi_tag_plan, same_seed_reproduces_the_exact_timelines)
     const multi_tag_plan c(plan_config(), 6, 3, 78);
     bool any_difference = false;
     for (std::size_t tag = 0; tag < 3 && !any_difference; ++tag) {
-        const auto& ea = a.per_tag()[tag].events();
-        const auto& ec = c.per_tag()[tag].events();
+        const fault_schedule sa = a.tag_schedule(tag);
+        const fault_schedule sc = c.tag_schedule(tag);
+        const auto& ea = sa.events();
+        const auto& ec = sc.events();
         if (ea.size() != ec.size()) {
             any_difference = true;
             break;
@@ -178,10 +182,12 @@ TEST(multi_tag_plan, healthy_tags_have_empty_schedules)
     const multi_tag_plan plan(plan_config(), 6, 2, 11);
     for (std::size_t tag = 0; tag < 6; ++tag) {
         if (tag < 2) continue;
-        EXPECT_TRUE(plan.per_tag()[tag].events().empty()) << "tag " << tag;
+        EXPECT_TRUE(plan.tag_schedule(tag).events().empty()) << "tag " << tag;
     }
     // The faulted ones actually draw something at these rates.
-    EXPECT_FALSE(plan.per_tag()[0].events().empty());
+    EXPECT_FALSE(plan.tag_schedule(0).events().empty());
+    EXPECT_EQ(plan.faulted_count(), 2u);
+    EXPECT_THROW((void)plan.tag_schedule(6), std::out_of_range);
 }
 
 TEST(multi_tag_plan, storms_shadow_a_contiguous_span_with_one_event)
@@ -201,7 +207,8 @@ TEST(multi_tag_plan, storms_shadow_a_contiguous_span_with_one_event)
     std::size_t total_events = 0;
     std::size_t shared_events = 0;
     for (std::size_t tag = 0; tag < 4; ++tag) {
-        const auto& events = plan.per_tag()[tag].events();
+        const fault_schedule schedule = plan.tag_schedule(tag);
+        const auto& events = schedule.events();
         total_events += events.size();
         for (const auto& ev : events) {
             EXPECT_EQ(ev.kind, fault_kind::blockage);
@@ -210,7 +217,8 @@ TEST(multi_tag_plan, storms_shadow_a_contiguous_span_with_one_event)
             EXPECT_GE(ev.magnitude, cfg.storm_depth_db_min);
             EXPECT_LE(ev.magnitude, cfg.storm_depth_db_max);
             for (std::size_t other_tag = tag + 1; other_tag < 4; ++other_tag) {
-                for (const auto& other : plan.per_tag()[other_tag].events()) {
+                const fault_schedule other_schedule = plan.tag_schedule(other_tag);
+                for (const auto& other : other_schedule.events()) {
                     if (other.start_s == ev.start_s) {
                         ++shared_events;
                         EXPECT_DOUBLE_EQ(other.duration_s, ev.duration_s);
@@ -236,7 +244,8 @@ TEST(multi_tag_plan, brownouts_roll_with_the_configured_stagger)
     const multi_tag_plan plan(cfg, 4, 3, 5);
 
     for (std::size_t tag = 0; tag < 3; ++tag) {
-        const auto& events = plan.per_tag()[tag].events();
+        const fault_schedule schedule = plan.tag_schedule(tag);
+        const auto& events = schedule.events();
         ASSERT_FALSE(events.empty()) << "tag " << tag;
         for (std::size_t k = 0; k < events.size(); ++k) {
             EXPECT_EQ(events[k].kind, fault_kind::brownout);

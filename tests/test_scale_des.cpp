@@ -13,6 +13,7 @@
 
 #include "mmtag/ap/rate_adaptation.hpp"
 #include "mmtag/obs/metrics_registry.hpp"
+#include "mmtag/runtime/trial_rng.hpp"
 #include "mmtag/scale/des_engine.hpp"
 #include "mmtag/scale/topology.hpp"
 
@@ -125,6 +126,46 @@ TEST(ScaleDes, JobsDoNotChangeResults)
     EXPECT_EQ(a.delivered_per_tag, b.delivered_per_tag);
     EXPECT_GT(a.events, 0u);
     EXPECT_EQ(metrics_a.to_json().dump(), metrics_b.to_json().dump());
+}
+
+TEST(ScaleDes, SingleTrialJobsDoNotChangeResults)
+{
+    // One trial is where the cells, not the trials, spread over the pool.
+    auto cfg = small_config();
+    cfg.trials = 1;
+    obs::metrics_registry metrics_a;
+    obs::metrics_registry metrics_b;
+    const scale_result a = scale::run_scale(cfg, 1, &metrics_a, shared_cache_dir());
+    const scale_result b = scale::run_scale(cfg, 4, &metrics_b, shared_cache_dir());
+    EXPECT_EQ(a.to_json().dump(), b.to_json().dump());
+    EXPECT_EQ(metrics_a.to_json().dump(), metrics_b.to_json().dump());
+    EXPECT_GT(a.events, 0u);
+}
+
+TEST(ScaleDes, SerialTrialMatchesRunScale)
+{
+    // run_scale_trial runs one trial's cells inline; run_scale shards them.
+    // Both must fold to the same trial.
+    auto cfg = small_config();
+    cfg.trials = 1;
+    const scale_result sharded = scale::run_scale(cfg, 4, nullptr, shared_cache_dir());
+    const auto topo = scale::make_deployment(cfg.topology, cfg.scenario);
+    auto table_cfg = cfg.phy;
+    table_cfg.scenario = cfg.scenario;
+    table_cfg.payload_bytes = cfg.payload_bytes;
+    const auto cache = scale::phy_table::load_or_generate(table_cfg, 1, shared_cache_dir());
+    const auto serial = scale::run_scale_trial(cfg, topo, cache.table, 0, nullptr);
+
+    EXPECT_EQ(runtime::mix64(scale::fnv1a64_offset ^ serial.event_log_hash),
+              sharded.event_log_hash);
+    EXPECT_EQ(serial.events, sharded.events);
+    EXPECT_EQ(serial.data_slots, sharded.data_slots);
+    EXPECT_EQ(serial.probe_slots, sharded.probe_slots);
+    EXPECT_EQ(serial.delivered, sharded.delivered);
+    EXPECT_EQ(serial.transitions, sharded.transitions);
+    EXPECT_EQ(serial.readmissions, sharded.readmissions);
+    EXPECT_EQ(serial.delivered_per_tag, sharded.delivered_per_tag);
+    EXPECT_EQ(serial.attempts_per_tag, sharded.attempts_per_tag);
 }
 
 TEST(ScaleDes, AccountingInvariantsHold)
