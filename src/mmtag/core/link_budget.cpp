@@ -1,7 +1,9 @@
 #include "mmtag/core/link_budget.hpp"
 
+#include <cmath>
 #include <stdexcept>
 
+#include "mmtag/channel/atmosphere.hpp"
 #include "mmtag/channel/backscatter_channel.hpp"
 #include "mmtag/rf/noise.hpp"
 
@@ -24,6 +26,14 @@ link_budget::link_budget(const system_config& cfg)
                            from_db(cfg.receiver.lna.noise_figure_db);
     noise_floor_dbm_ = watt_to_dbm(noise_w);
     static_interference_dbm_ = watt_to_dbm(chan.static_interference_power(tx_power_w_));
+    // The tag path loses the one-way dB/km on each leg, so the returned
+    // power falls by exp(-beta d) with beta = 2 ln(10)/10 x (dB per metre);
+    // everything else in at() scales as d^-4. Anchor k on at(1 m).
+    const double one_way_db_per_km = channel::atmospheric_loss_db(
+        1000.0, chan_cfg.frequency_hz, chan_cfg.rain_rate_mm_per_hr);
+    received_beta_per_m_ = 2.0 * std::log(10.0) / 10.0 * one_way_db_per_km / 1000.0;
+    received_k_w_ =
+        dbm_to_watt(at(1.0).received_at_ap_dbm) * std::exp(received_beta_per_m_);
 }
 
 link_budget_entry link_budget::at(double distance_m) const

@@ -2,6 +2,9 @@
 // prediction every simulated result is cross-checked against.
 #pragma once
 
+#include <cmath>
+#include <stdexcept>
+
 #include "mmtag/common.hpp"
 #include "mmtag/core/config.hpp"
 
@@ -23,6 +26,18 @@ public:
     /// Budget at one distance (other parameters from the system config).
     [[nodiscard]] link_budget_entry at(double distance_m) const;
 
+    /// received_at_ap_dbm of at(distance_m) in watts, in closed form:
+    /// k * exp(-beta * d) / d^4, the d^-4 round-trip spreading times the
+    /// two-way atmospheric loss, with k and beta folded at construction from
+    /// at(1 m) and the one-way dB/km. Agrees with the dB path to ~1e-14
+    /// relative at a fraction of the cost, for loops that sum powers.
+    [[nodiscard]] double received_at_ap_w(double distance_m) const
+    {
+        if (distance_m <= 0.0) throw std::invalid_argument("link_budget: distance <= 0");
+        const double d2 = distance_m * distance_m;
+        return received_k_w_ * std::exp(-received_beta_per_m_ * distance_m) / (d2 * d2);
+    }
+
     /// Sweep over [start, stop] with `points` samples.
     [[nodiscard]] std::vector<link_budget_entry> sweep(double start_m, double stop_m,
                                                        std::size_t points) const;
@@ -38,6 +53,8 @@ private:
     double gamma_loss_db_ = 0.0;
     double noise_floor_dbm_ = 0.0;
     double static_interference_dbm_ = 0.0;
+    double received_k_w_ = 0.0;         ///< received_at_ap_w's k [W m^4]
+    double received_beta_per_m_ = 0.0;  ///< received_at_ap_w's beta [1/m]
 };
 
 } // namespace mmtag::core

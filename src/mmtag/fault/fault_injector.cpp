@@ -100,15 +100,8 @@ impairment fault_injector::at(double start_s, double duration_s)
     if (dropout_db > 0.0) out.carrier_amplitude = db_to_amplitude(-dropout_db);
     out.lo_offset_hz = lo_offset_hz(end_s);
 
-    if (out.any()) {
-        if (metrics_ != nullptr) metrics_->get_counter("fault/impaired_windows").add();
-        if (obs::tracer::active()) {
-            char args[96];
-            std::snprintf(args, sizeof args,
-                          "{\"start_s\": %.6f, \"duration_s\": %.6f}", start_s,
-                          duration_s);
-            obs::trace_instant("fault.window", "fault", args);
-        }
+    if (metrics_ != nullptr && out.any()) {
+        metrics_->get_counter("fault/impaired_windows").add();
     }
     return out;
 }

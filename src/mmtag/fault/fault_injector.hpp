@@ -64,10 +64,11 @@ public:
 
     [[nodiscard]] const fault_schedule& schedule() const { return schedule_; }
 
-    /// Attaches an observability registry: each at() query that sees an
-    /// impairment bumps a per-kind "fault/..." counter (and emits a
-    /// fault.window trace instant when a trace session is active). Not
-    /// owned; nullptr detaches.
+    /// Attaches an observability registry: each at() query bumps a per-kind
+    /// "fault/..." counter for every event it overlaps, and
+    /// "fault/impaired_windows" once when it sees any impairment. Windows
+    /// are counted, never traced, so a traced run stays cheap. Not owned;
+    /// nullptr detaches.
     void attach_metrics(obs::metrics_registry* metrics) { metrics_ = metrics; }
 
     /// Impairment seen by a frame occupying [start_s, start_s + duration_s).

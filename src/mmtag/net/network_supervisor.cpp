@@ -96,10 +96,13 @@ round_plan network_supervisor::plan_round()
     // across the population instead of pinning to the same tags.
     std::vector<std::size_t> eligible;
     eligible.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
-        const std::size_t idx = (rotation_ + i) % n;
-        if (sessions_[idx].schedulable()) eligible.push_back(idx);
-    }
+    const auto add_schedulable = [&](std::size_t first, std::size_t last) {
+        for (std::size_t idx = first; idx < last; ++idx) {
+            if (sessions_[idx].schedulable()) eligible.push_back(idx);
+        }
+    };
+    add_schedulable(rotation_, n);
+    add_schedulable(0, rotation_);
     if (!eligible.empty()) {
         const std::size_t budget = cfg_.slot_budget != 0 ? cfg_.slot_budget : n;
         const std::size_t base = budget / eligible.size();

@@ -174,10 +174,24 @@ cell_result run_cell(const scale_config& cfg, const deployment& topo, const phy_
     fault::fault_injector shared_injector(trial.plan.shared());
     std::vector<fault::fault_injector> tag_injectors;
     std::vector<std::uint32_t> injector_of(size, no_injector);
-    std::vector<double> sinr_lin(size);
+    // Most slots are unimpaired, and an unimpaired slot's SINR is the
+    // position's static one: its dB figure and its PER at the two rungs a
+    // slot can use (the static rung, or the robust rung for probes and
+    // degraded sessions) are computed once here.
+    struct position_link {
+        double sinr_lin = 0.0;
+        double clean_db = 0.0;
+        double clean_per_static = 0.0;
+        double clean_per_robust = 0.0;
+    };
+    std::vector<position_link> links(size);
     for (std::size_t p = 0; p < size; ++p) {
         const std::size_t tag = members[p];
-        sinr_lin[p] = from_db(topo.tags[tag].sinr_db);
+        position_link& link = links[p];
+        link.sinr_lin = from_db(topo.tags[tag].sinr_db);
+        link.clean_db = to_db(link.sinr_lin);
+        link.clean_per_static = table.per(in.tag_mcs[tag], link.clean_db);
+        link.clean_per_robust = table.per(ap::robust_rung, link.clean_db);
         if (tag < trial.plan.faulted_count()) {
             injector_of[p] = static_cast<std::uint32_t>(tag_injectors.size());
             tag_injectors.emplace_back(trial.plan.tag_schedule(tag));
@@ -199,9 +213,12 @@ cell_result run_cell(const scale_config& cfg, const deployment& topo, const phy_
     std::vector<std::uint64_t> robust_stamp(size, 0);
     std::uint64_t stamp = 0;
 
-    const auto run_slot = [&](std::uint32_t p, std::size_t rung, double slot_s,
-                              std::uint64_t kind) {
+    // A slot runs at the robust rung or at the position's static rung.
+    const auto run_slot = [&](std::uint32_t p, bool robust, std::uint64_t kind) {
         const std::size_t tag = members[p];
+        const std::size_t rung = robust ? ap::robust_rung : in.tag_mcs[tag];
+        const double slot_s = kind == probe_record ? in.probe_slot_s : in.mcs_slot_s[rung];
+        const position_link& link = links[p];
         const auto shared_imp = shared_injector.at(now_s, slot_s);
         const auto tag_imp = injector_of[p] != no_injector
                                  ? tag_injectors[injector_of[p]].at(now_s, slot_s)
@@ -214,16 +231,25 @@ cell_result run_cell(const scale_config& cfg, const deployment& topo, const phy_
         const double amp = shared_imp.tag_amplitude * tag_imp.tag_amplitude;
         const double c = shared_imp.carrier_amplitude * tag_imp.carrier_amplitude;
         const double rel_db = std::max(shared_imp.interferer_rel_db, tag_imp.interferer_rel_db);
-        const double s_lin = sinr_lin[p];
-        const double signal_factor = amp * amp * amp * amp * c * c;
-        const double denom =
-            1.0 + (rel_db > interferer_floor_db ? s_lin * from_db(rel_db) : 0.0);
-        const double sinr_eff_db = to_db(s_lin * signal_factor / denom);
+        // Unimpaired, s_lin * 1 / 1 is s_lin exactly, so the stored figures
+        // are the ones this slot would compute.
+        const bool clean = amp == 1.0 && c == 1.0 && rel_db <= interferer_floor_db;
+        double sinr_eff_db = link.clean_db;
+        if (!clean) {
+            const double s_lin = link.sinr_lin;
+            const double signal_factor = amp * amp * amp * amp * c * c;
+            const double denom =
+                1.0 + (rel_db > interferer_floor_db ? s_lin * from_db(rel_db) : 0.0);
+            sinr_eff_db = to_db(s_lin * signal_factor / denom);
+        }
         if (sinr_hist != nullptr) sinr_hist->observe(sinr_eff_db);
 
         bool delivered = false;
         if (powered) {
-            delivered = event_uniform(cell_seed, slot_index) >= table.per(rung, sinr_eff_db);
+            const double per =
+                clean ? (robust ? link.clean_per_robust : link.clean_per_static)
+                      : table.per(rung, sinr_eff_db);
+            delivered = event_uniform(cell_seed, slot_index) >= per;
         } else {
             ++out.brownout_losses;
         }
@@ -252,13 +278,9 @@ cell_result run_cell(const scale_config& cfg, const deployment& topo, const phy_
         const net::round_plan round = sup.plan_round();
         ++stamp;
         for (const std::uint32_t p : round.robust) robust_stamp[p] = stamp;
-        for (const std::uint32_t p : round.probes) {
-            run_slot(p, ap::robust_rung, in.probe_slot_s, probe_record);
-        }
+        for (const std::uint32_t p : round.probes) run_slot(p, true, probe_record);
         for (const std::uint32_t p : mac::tdma_scheduler::interleave_shares(round.shares)) {
-            const std::size_t rung =
-                robust_stamp[p] == stamp ? ap::robust_rung : in.tag_mcs[members[p]];
-            run_slot(p, rung, in.mcs_slot_s[rung], data_record);
+            run_slot(p, robust_stamp[p] == stamp, data_record);
         }
         // A fully quarantined, probe-less round still advances time by
         // one robust slot so the backoff clock keeps ticking.

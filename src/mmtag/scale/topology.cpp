@@ -157,9 +157,10 @@ deployment make_deployment(const topology_config& cfg,
 
     place_tags(cfg, out);
 
-    // Nearest-AP cell assignment.
-    out.cells.assign(cfg.ap_count, {});
-    for (auto& tag : out.tags) {
+    // Nearest-AP cell assignment: each tag's search on the pool, then the
+    // cells filled in tag order.
+    pool.parallel_for(out.tags.size(), [&](std::size_t k) {
+        placed_tag& tag = out.tags[k];
         std::size_t best = 0;
         double best_d = distance_3d(out.aps[0], tag);
         for (std::size_t a = 1; a < cfg.ap_count; ++a) {
@@ -171,8 +172,9 @@ deployment make_deployment(const topology_config& cfg,
         }
         tag.ap = best;
         tag.distance_m = best_d;
-        out.cells[best].push_back(tag.id);
-    }
+    });
+    out.cells.assign(cfg.ap_count, {});
+    for (const placed_tag& tag : out.tags) out.cells[tag.ap].push_back(tag.id);
 
     // Static SINR. Signal and noise come straight from the calibrated
     // monostatic budget; interference sums, per serving AP,
@@ -182,6 +184,8 @@ deployment make_deployment(const topology_config& cfg,
     //       the static stand-in for the per-slot draw),
     // with (b) reusing the monostatic budget at the geometric-mean distance
     // d_eq = sqrt(d1*d2), exact for the bistatic d1^2*d2^2 spreading law.
+    // There are tags x APs cross-cell terms, so they and each tag's signal
+    // come from the budget's closed form in watts (received_at_ap_w).
     const core::link_budget budget(scenario);
     const double noise_w =
         dbm_to_watt(budget.at(scenario.distance_m).noise_floor_dbm);
@@ -211,8 +215,7 @@ deployment make_deployment(const topology_config& cfg,
                 const auto& u = out.tags[t];
                 const double d1 = u.distance_m; // illuminated by its own AP
                 const double d2 = distance_3d(out.aps[i], u);
-                cell_sum_w +=
-                    dbm_to_watt(budget.at(std::sqrt(d1 * d2)).received_at_ap_dbm);
+                cell_sum_w += budget.received_at_ap_w(std::sqrt(d1 * d2));
             }
             total_w += tag_suppression * cell_sum_w /
                        static_cast<double>(out.cells[j].size());
@@ -222,8 +225,7 @@ deployment make_deployment(const topology_config& cfg,
 
     pool.parallel_for(out.tags.size(), [&](std::size_t k) {
         auto& tag = out.tags[k];
-        const double signal_w =
-            dbm_to_watt(budget.at(tag.distance_m).received_at_ap_dbm);
+        const double signal_w = budget.received_at_ap_w(tag.distance_m);
         tag.sinr_db = to_db(signal_w / (noise_w + interference_w[tag.ap]));
     });
     return out;

@@ -17,7 +17,10 @@
 //     carriers toward the serving AP. The bistatic d1^2*d2^2 spreading law
 //     equals the monostatic d^4 law at the geometric-mean distance
 //     d_eq = sqrt(d1*d2), so the calibrated monostatic link budget is
-//     reused as budget.at(sqrt(d1*d2)) — no second calibration needed. The
+//     reused at sqrt(d1*d2) — no second calibration needed. The sums run
+//     in watts from the budget's folded closed form k*exp(-beta*d)/d^4
+//     (link_budget::received_at_ap_w), which matches budget.at()'s dBm
+//     figure to ~1e-14 relative at a fraction of the cost. The
 //     interfering burst is neither time- nor code-aligned with the serving
 //     slot, so `tag_suppression_db` of processing rejection (sync
 //     correlation, matched filtering) applies on top.
@@ -100,8 +103,8 @@ struct deployment {
 [[nodiscard]] deployment make_deployment(const topology_config& cfg,
                                          const core::system_config& scenario);
 
-/// The same deployment, bit for bit, with the per-AP interference sums and
-/// the per-tag SINRs computed on `pool`.
+/// The same deployment, bit for bit, with the nearest-AP searches, the
+/// per-AP interference sums and the per-tag SINRs computed on `pool`.
 [[nodiscard]] deployment make_deployment(const topology_config& cfg,
                                          const core::system_config& scenario,
                                          runtime::thread_pool& pool);

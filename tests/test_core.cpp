@@ -111,6 +111,23 @@ TEST(link_budget, matches_a_channel_built_at_each_distance)
     }
 }
 
+TEST(link_budget, received_power_matches_at)
+{
+    // The closed form k * exp(-beta d) / d^4 must be the watt form of the dB
+    // path, with and without the rain term that makes beta large.
+    auto rainy = fast_scenario();
+    rainy.rain_rate_mm_per_hr = 25.0;
+    rainy.rician_k_db = 6.0;
+    for (const auto& cfg : {fast_scenario(), rainy}) {
+        const link_budget budget(cfg);
+        for (double d = 0.1; d <= 200.0; d *= 1.07) {
+            const double expected = dbm_to_watt(budget.at(d).received_at_ap_dbm);
+            EXPECT_NEAR(budget.received_at_ap_w(d) / expected, 1.0, 1e-12) << "d = " << d;
+        }
+        EXPECT_THROW((void)budget.received_at_ap_w(0.0), std::invalid_argument);
+    }
+}
+
 TEST(link_budget, sweep_is_monotone)
 {
     const link_budget budget(default_scenario());

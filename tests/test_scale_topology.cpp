@@ -178,6 +178,34 @@ TEST(ScaleTopology, SinrDecreasesWithDistanceWithinCell)
     }
 }
 
+TEST(ScaleTopology, StaticSinrIsUnchanged)
+{
+    // Pins the static SINR of three tags in a 16-AP Poisson and a 9-AP
+    // clustered deployment, recorded when the interference sums still ran
+    // through dBm; summing in watts may move only the last digits.
+    struct pin {
+        layout_kind layout;
+        std::size_t tags;
+        std::size_t aps;
+        std::size_t tag;
+        double sinr_db;
+    };
+    const pin pins[] = {
+        {layout_kind::poisson_disc, 2000, 16, 0, 11.911655589116252},
+        {layout_kind::poisson_disc, 2000, 16, 1000, 11.26673484097142},
+        {layout_kind::poisson_disc, 2000, 16, 1999, 10.446147698050659},
+        {layout_kind::clustered, 900, 9, 0, 16.423790422695163},
+        {layout_kind::clustered, 900, 9, 450, 16.15062035175945},
+        {layout_kind::clustered, 900, 9, 899, 17.000489430245164},
+    };
+    const auto scenario = core::fast_scenario();
+    for (const pin& p : pins) {
+        const deployment topo = make_deployment(base_config(p.layout, p.tags, p.aps), scenario);
+        EXPECT_NEAR(topo.tags[p.tag].sinr_db, p.sinr_db, 1e-9)
+            << scale::layout_name(p.layout) << " tag " << p.tag;
+    }
+}
+
 TEST(ScaleTopology, RejectsDegenerateConfigs)
 {
     const auto scenario = core::fast_scenario();
