@@ -84,7 +84,7 @@ reception ap_receiver::receive(std::span<const cf64> antenna, std::span<const cf
         const auto coarse =
             phy::detect_preamble(symbols, cfg_.frame.preamble, cfg_.min_sync_quality);
         if (!coarse) return result;
-        const cvec pilots = phy::sync_word(cfg_.frame.preamble);
+        const cvec& pilots = phy::sync_word(cfg_.frame.preamble);
         const std::size_t pilot_start = coarse->frame_start - pilots.size();
         const std::span<const cf64> observed{symbols.data() + pilot_start, pilots.size()};
         const double cfo_per_symbol = dsp::estimate_frequency_offset(observed, pilots);
@@ -109,7 +109,7 @@ reception ap_receiver::receive(std::span<const cf64> antenna, std::span<const cf
     for (auto& s : symbols) s /= sync->channel_gain;
 
     // Link metrics over the sync word.
-    const cvec reference = phy::sync_word(cfg_.frame.preamble);
+    const cvec& reference = phy::sync_word(cfg_.frame.preamble);
     const std::size_t sync_start = sync->frame_start - reference.size();
     const std::span<const cf64> sync_span{symbols.data() + sync_start, reference.size()};
     result.snr_db = dsp::snr_estimate_db(sync_span, reference);

@@ -42,9 +42,10 @@ private:
 [[nodiscard]] cvec bits_to_bpsk(std::span<const std::uint8_t> bits);
 
 /// Sliding (non-normalized) cross-correlation magnitude of `haystack` against
-/// `needle`; output index i corresponds to needle aligned at haystack[i].
+/// a real `needle` (e.g. BPSK chips of +-1); output index i corresponds to
+/// needle aligned at haystack[i].
 [[nodiscard]] rvec correlate_magnitude(std::span<const cf64> haystack,
-                                       std::span<const cf64> needle);
+                                       std::span<const double> needle);
 
 /// Index of the correlation peak, with the peak-to-sidelobe ratio returned in
 /// `peak_to_sidelobe` when non-null.

@@ -25,8 +25,9 @@ struct preamble_layout {
 /// BPSK preamble symbols for the layout.
 [[nodiscard]] cvec make_preamble(const preamble_layout& layout = {});
 
-/// Just the sync-word symbols (the correlation reference).
-[[nodiscard]] cvec sync_word(const preamble_layout& layout = {});
+/// Just the sync-word symbols (the correlation reference). Each degree's
+/// word is built once and shared; the reference stays valid for the program.
+[[nodiscard]] const cvec& sync_word(const preamble_layout& layout = {});
 
 struct sync_result {
     std::size_t frame_start = 0; ///< first symbol index after the sync word

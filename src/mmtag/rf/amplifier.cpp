@@ -1,5 +1,6 @@
 #include "mmtag/rf/amplifier.hpp"
 
+#include <array>
 #include <stdexcept>
 
 #include "mmtag/rf/noise.hpp"
@@ -57,19 +58,30 @@ cf64 power_amplifier::process(cf64 input) const
 
 void power_amplifier::process(std::span<cf64> buffer) const
 {
-    double last_amplitude = -1.0;
-    double last_scale = 0.0;
+    // scale() is a pure function of the exact amplitude, so a remembered
+    // (amplitude, scale) pair gives the bits a recomputation would. A
+    // constant-envelope carrier's |x| takes two or three one-ulp neighbours,
+    // so a few pairs, replaced oldest first, catch nearly every sample.
+    constexpr std::size_t memo_size = 4;
+    std::array<double, memo_size> amplitudes;
+    amplitudes.fill(-1.0);
+    std::array<double, memo_size> scales{};
+    std::size_t oldest = 0;
     for (cf64& x : buffer) {
         const double amplitude = std::abs(x);
         if (amplitude < 1e-30) {
             x = cf64{};
             continue;
         }
-        if (amplitude != last_amplitude) {
-            last_amplitude = amplitude;
-            last_scale = scale(amplitude);
+        std::size_t hit = 0;
+        while (hit < memo_size && amplitudes[hit] != amplitude) ++hit;
+        if (hit == memo_size) {
+            hit = oldest;
+            oldest = (oldest + 1) % memo_size;
+            amplitudes[hit] = amplitude;
+            scales[hit] = scale(amplitude);
         }
-        x *= last_scale;
+        x *= scales[hit];
     }
 }
 

@@ -52,8 +52,9 @@ public:
     [[nodiscard]] cf64 process(cf64 input) const;
 
     /// Amplifies a buffer in place, bit-identical to process(cf64) per
-    /// sample. The Rapp scale is recomputed only when the exact input
-    /// amplitude changes, which for a constant-envelope drive is rare.
+    /// sample. The Rapp scale is computed only for an exact input amplitude
+    /// not among the last few seen, which for a constant-envelope drive is
+    /// rare.
     void process(std::span<cf64> buffer) const;
 
 private:

@@ -9,6 +9,7 @@
 #pragma once
 
 #include <array>
+#include <bit>
 #include <cstdint>
 
 #include "mmtag/runtime/trial_rng.hpp"
@@ -43,7 +44,10 @@ public:
         // Bits 11-63 fit in an int64_t, whose conversion is one instruction.
         const auto abscissa = static_cast<std::int64_t>(bits >> 11);
         const double x = static_cast<double>(abscissa) * 0x1.0p-53 * detail::ziggurat_x[layer];
-        if (x < detail::ziggurat_x[layer + 1]) [[likely]] return (bits & 128u) ? -x : x;
+        // x >= 0, so bit 7 moved to bit 63 flips its sign without a branch.
+        if (x < detail::ziggurat_x[layer + 1]) [[likely]] {
+            return std::bit_cast<double>(std::bit_cast<std::uint64_t>(x) ^ ((bits & 128u) << 56));
+        }
         return normal_slow(layer, x, (bits & 128u) != 0);
     }
 

@@ -58,11 +58,13 @@ TEST(lfsr, deterministic_for_seed)
 TEST(correlation, finds_embedded_sequence)
 {
     const auto bits = m_sequence(6);
-    const cvec needle = bits_to_bpsk(bits);
+    const cvec chips = bits_to_bpsk(bits);
     cvec haystack(40, cf64{0.1, -0.05});
-    haystack.insert(haystack.end(), needle.begin(), needle.end());
+    haystack.insert(haystack.end(), chips.begin(), chips.end());
     haystack.resize(haystack.size() + 25, cf64{-0.08, 0.02});
 
+    rvec needle;
+    for (const cf64 chip : chips) needle.push_back(chip.real());
     const rvec correlation = correlate_magnitude(haystack, needle);
     double quality = 0.0;
     const std::size_t peak = correlation_peak(correlation, &quality);
@@ -72,7 +74,7 @@ TEST(correlation, finds_embedded_sequence)
 
 TEST(correlation, empty_inputs)
 {
-    EXPECT_TRUE(correlate_magnitude(cvec{}, cvec{}).empty());
+    EXPECT_TRUE(correlate_magnitude(cvec{}, rvec{}).empty());
     EXPECT_THROW((void)correlation_peak(rvec{}), std::invalid_argument);
 }
 
