@@ -8,12 +8,12 @@
 // (modulation, Eb/N0) point is split into counter-seeded chunks merged into
 // one core::error_counter in trial order — bit-identical for any --jobs.
 #include <cmath>
-#include <random>
 
 #include "bench_util.hpp"
 #include "mmtag/core/metrics.hpp"
 #include "mmtag/phy/bitio.hpp"
 #include "mmtag/phy/modulation.hpp"
+#include "mmtag/rf/noise.hpp"
 #include "mmtag/runtime/result_writer.hpp"
 #include "mmtag/runtime/sweep_runner.hpp"
 
@@ -35,9 +35,7 @@ core::error_counter simulate_chunk(const sweep_cell& cell, std::size_t bits,
 {
     const std::size_t k = phy::bits_per_symbol(cell.scheme);
     const double es_n0 = from_db(cell.ebn0_db) * static_cast<double>(k);
-    const double noise_sigma = std::sqrt(0.5 / es_n0); // unit-energy symbols
-    std::mt19937_64 rng(runtime::substream(seed, 0));
-    std::normal_distribution<double> gaussian(0.0, noise_sigma);
+    rf::awgn_source noise(1.0 / es_n0, runtime::substream(seed, 0)); // unit-energy symbols
 
     core::error_counter errors;
     std::size_t block = 0;
@@ -45,7 +43,7 @@ core::error_counter simulate_chunk(const sweep_cell& cell, std::size_t bits,
         const auto payload =
             phy::random_bits(3000 * k, runtime::substream(seed, 1 + block++));
         cvec symbols = phy::map_bits(payload, cell.scheme);
-        for (auto& s : symbols) s += cf64{gaussian(rng), gaussian(rng)};
+        noise.add_to(symbols);
         const auto decided = phy::demap_hard(symbols, cell.scheme);
         errors.add_bits(payload.size(), phy::hamming_distance(decided, payload));
     }

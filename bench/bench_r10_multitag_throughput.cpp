@@ -15,12 +15,12 @@
 //    tags at the waveform level, and the workload the --jobs speedup
 //    summary is about.
 #include <algorithm>
-#include <random>
 
 #include "bench_util.hpp"
 #include "mmtag/core/multitag_simulator.hpp"
 #include "mmtag/core/network.hpp"
 #include "mmtag/phy/bitio.hpp"
+#include "mmtag/runtime/gaussian_source.hpp"
 #include "mmtag/runtime/result_writer.hpp"
 #include "mmtag/runtime/sweep_runner.hpp"
 
@@ -89,12 +89,10 @@ std::vector<core::tag_descriptor> spread_tags(std::size_t count)
 
 throughput_aggregate analytic_trial(std::size_t tag_count, std::uint64_t seed)
 {
-    std::mt19937_64 rng(runtime::substream(seed, 0));
-    std::uniform_real_distribution<double> range(1.5, 6.0);
-    std::uniform_real_distribution<double> angle(-25.0, 25.0);
+    runtime::gaussian_source rng(runtime::substream(seed, 0));
     std::vector<core::tag_descriptor> tags;
     for (std::uint32_t i = 0; i < tag_count; ++i) {
-        tags.push_back({i, range(rng), deg_to_rad(angle(rng))});
+        tags.push_back({i, rng.uniform(1.5, 6.0), deg_to_rad(rng.uniform(-25.0, 25.0))});
     }
     const core::network net(bench::bench_scenario(), tags);
     const auto report = net.run(runtime::substream(seed, 1));

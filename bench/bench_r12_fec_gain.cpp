@@ -2,12 +2,11 @@
 // rates 1/2, 2/3, 3/4 (soft-decision Viterbi) over QPSK. Expected shape: the
 // waterfall curves steepen and shift left with stronger coding; R=1/2 buys
 // ~5 dB at 1e-4 over uncoded.
-#include <random>
-
 #include "bench_util.hpp"
 #include "mmtag/fec/convolutional.hpp"
 #include "mmtag/phy/bitio.hpp"
 #include "mmtag/phy/modulation.hpp"
+#include "mmtag/rf/noise.hpp"
 
 using namespace mmtag;
 
@@ -20,9 +19,8 @@ double coded_ber(phy::fec_mode mode, double ebn0_db, std::size_t info_bits,
     // coded bits per symbol at Es = 2 R Eb.
     const double rate = phy::fec_mode_rate(mode);
     const double es_n0 = 2.0 * rate * from_db(ebn0_db);
-    const double noise_sigma = std::sqrt(0.5 / es_n0);
-    std::mt19937_64 rng(seed);
-    std::normal_distribution<double> gaussian(0.0, noise_sigma);
+    const double noise_power = 1.0 / es_n0;
+    rf::awgn_source noise(noise_power, seed);
 
     std::size_t errors = 0;
     std::size_t counted = 0;
@@ -40,9 +38,8 @@ double coded_ber(phy::fec_mode mode, double ebn0_db, std::size_t info_bits,
                                              : fec::code_rate::three_quarters;
             coded = fec::convolutional_encode(bits, rate_enum);
             cvec symbols = phy::map_bits(coded, phy::modulation::qpsk);
-            for (auto& s : symbols) s += cf64{gaussian(rng), gaussian(rng)};
-            const auto soft = phy::demap_soft(symbols, phy::modulation::qpsk,
-                                              2.0 * noise_sigma * noise_sigma);
+            noise.add_to(symbols);
+            const auto soft = phy::demap_soft(symbols, phy::modulation::qpsk, noise_power);
             std::vector<double> truncated(soft.begin(),
                                           soft.begin() +
                                               static_cast<std::ptrdiff_t>(coded.size()));
@@ -52,7 +49,7 @@ double coded_ber(phy::fec_mode mode, double ebn0_db, std::size_t info_bits,
             continue;
         }
         cvec symbols = phy::map_bits(coded, phy::modulation::qpsk);
-        for (auto& s : symbols) s += cf64{gaussian(rng), gaussian(rng)};
+        noise.add_to(symbols);
         const auto decided = phy::demap_hard(symbols, phy::modulation::qpsk);
         errors += phy::hamming_distance(decided, bits);
         counted += bits.size();

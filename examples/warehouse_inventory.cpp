@@ -8,7 +8,6 @@
 //   $ ./warehouse_inventory [tag_count]
 #include <cstdio>
 #include <cstdlib>
-#include <random>
 
 #include "mmtag/core/network.hpp"
 
@@ -24,14 +23,7 @@ int main(int argc, char** argv)
     }
 
     // Scatter tags through the aisle (deterministic so runs are comparable).
-    std::mt19937_64 rng(2024);
-    std::uniform_real_distribution<double> range_dist(1.5, 8.0);
-    std::uniform_real_distribution<double> angle_dist(-35.0, 35.0);
-    std::vector<core::tag_descriptor> tags;
-    tags.reserve(tag_count);
-    for (std::uint32_t i = 0; i < tag_count; ++i) {
-        tags.push_back({i, range_dist(rng), deg_to_rad(angle_dist(rng))});
-    }
+    const auto tags = core::uniform_population(tag_count, 1.5, 8.0, 2024);
 
     // The warehouse preset: 16-element tags against dense racking clutter.
     const core::network net(core::warehouse_scenario(), tags);

@@ -23,8 +23,7 @@ blockage_process::blockage_process(const config& cfg, std::uint64_t seed)
 void blockage_process::schedule_next()
 {
     const double mean = blocked_ ? cfg_.mean_blocked_s : cfg_.mean_clear_s;
-    std::exponential_distribution<double> dwell(1.0 / mean);
-    next_toggle_s_ = time_s_ + dwell(rng_);
+    next_toggle_s_ = time_s_ + rng_.exponential(1.0 / mean);
 }
 
 double blockage_process::step()

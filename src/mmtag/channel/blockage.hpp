@@ -6,9 +6,9 @@
 #pragma once
 
 #include <cstdint>
-#include <random>
 
 #include "mmtag/common.hpp"
+#include "mmtag/runtime/gaussian_source.hpp"
 
 namespace mmtag::channel {
 
@@ -37,7 +37,7 @@ private:
     void schedule_next();
 
     config cfg_;
-    std::mt19937_64 rng_;
+    runtime::gaussian_source rng_;
     bool blocked_ = false;
     double time_s_ = 0.0;
     double next_toggle_s_ = 0.0;

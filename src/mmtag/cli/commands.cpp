@@ -513,10 +513,8 @@ run_step parse_sweep(const option_set& options)
                               runtime::result_writer::metrics(report));
         }
         if (context.metrics != nullptr) {
-            // Deterministic view into the result document (schema /2); the
-            // wall-clock timer histograms go to the run section instead.
+            // Deterministic view into the result document (schema /2).
             results.set_metrics(context.metrics->to_json(obs::metric_view::deterministic));
-            results.set_run_profile(context.metrics->to_json(obs::metric_view::timing));
         }
         return run_result{.tasks = out.trials,
                           .jobs = out.jobs,

@@ -1,8 +1,9 @@
 #include "mmtag/core/inventory_round.hpp"
 
 #include <algorithm>
-#include <random>
 #include <stdexcept>
+
+#include "mmtag/runtime/gaussian_source.hpp"
 
 namespace mmtag::core {
 
@@ -35,8 +36,7 @@ sampled_inventory_result run_sampled_inventory(const system_config& base,
     const double slot_s = sim.burst_duration_s(4) + cfg.slot_guard_s;
     const std::size_t slot_count = std::size_t{1} << cfg.slot_exponent;
 
-    std::mt19937_64 rng(seed);
-    std::uniform_int_distribution<std::size_t> slot_dist(0, slot_count - 1);
+    runtime::gaussian_source rng(seed);
 
     std::vector<std::size_t> remaining(tags.size());
     for (std::size_t i = 0; i < tags.size(); ++i) remaining[i] = i;
@@ -51,7 +51,7 @@ sampled_inventory_result run_sampled_inventory(const system_config& base,
         std::vector<std::size_t> slot_of_burst; // chosen slot per burst
         std::vector<std::size_t> occupancy(slot_count, 0);
         for (std::size_t tag_index : remaining) {
-            const std::size_t slot = slot_dist(rng);
+            const std::size_t slot = rng.below(slot_count);
             ++occupancy[slot];
             bursts.push_back({.tag_index = tag_index,
                               .payload = id_payload(tags[tag_index].id),

@@ -7,7 +7,6 @@
 #include "mmtag/dsp/estimators.hpp"
 #include "mmtag/fault/fault_injector.hpp"
 #include "mmtag/obs/metrics_registry.hpp"
-#include "mmtag/obs/scoped_timer.hpp"
 #include "mmtag/obs/trace.hpp"
 #include "mmtag/phy/bitio.hpp"
 
@@ -28,7 +27,6 @@ link_simulator::link_simulator(const system_config& cfg)
 
 link_simulator::frame_result link_simulator::run_frame(std::span<const std::uint8_t> payload)
 {
-    MMTAG_SCOPED_TIMER(metrics_, "time/link_frame");
     const obs::trace_span span("link.frame", "link");
     ++trial_;
     frame_result result;

@@ -66,6 +66,35 @@ double multitag_simulator::burst_duration_s(std::size_t payload_bytes,
     return modulate_at(modulator_, std::vector<std::uint8_t>(payload_bytes, 0), mcs).duration_s;
 }
 
+multitag_simulator::capture_layout multitag_simulator::layout(std::size_t latest_end) const
+{
+    const std::size_t sps = modulator_.samples_per_symbol();
+    // Trailing margin for the canceller's drift-tracking tail window.
+    const std::size_t margin =
+        8 * sps + static_cast<std::size_t>(
+                      std::ceil(4.0 * base_.receiver.canceller.tail_fraction *
+                                static_cast<double>(latest_end)));
+    const std::size_t capture = latest_end + margin;
+    // Lead for the canceller's quiet background window.
+    const double training = base_.receiver.canceller.training_fraction +
+                            base_.receiver.canceller.training_skip;
+    const auto lead = static_cast<std::size_t>(
+        std::ceil(2.0 * training * static_cast<double>(capture))) + sps;
+    return {.lead = lead, .capture = capture + lead};
+}
+
+double multitag_simulator::capture_window_s(const std::vector<tag_burst>& bursts) const
+{
+    const double fs = base_.sample_rate_hz;
+    std::size_t latest_end = 0;
+    for (const auto& burst : bursts) {
+        const auto start = static_cast<std::size_t>(std::round(burst.start_s * fs));
+        latest_end = std::max(
+            latest_end, start + modulate_at(modulator_, burst.payload, burst.mcs).gamma.size());
+    }
+    return static_cast<double>(layout(latest_end).capture) / fs;
+}
+
 std::vector<burst_outcome> multitag_simulator::run(const std::vector<tag_burst>& bursts)
 {
     MMTAG_SCOPED_TIMER(metrics_, "time/multitag_capture");
@@ -87,23 +116,13 @@ std::vector<burst_outcome> multitag_simulator::run(const std::vector<tag_burst>&
     std::vector<std::size_t> starts;
     frames.reserve(bursts.size());
     std::size_t latest_end = 0;
-    // Lead for the canceller's quiet background window.
-    const double training = base_.receiver.canceller.training_fraction +
-                            base_.receiver.canceller.training_skip;
     for (const auto& burst : bursts) {
         frames.push_back(modulate_at(modulator_, burst.payload, burst.mcs));
         const auto start = static_cast<std::size_t>(std::round(burst.start_s * fs));
         starts.push_back(start);
         latest_end = std::max(latest_end, start + frames.back().gamma.size());
     }
-    const std::size_t margin =
-        8 * sps + static_cast<std::size_t>(
-                      std::ceil(4.0 * base_.receiver.canceller.tail_fraction *
-                                static_cast<double>(latest_end)));
-    std::size_t capture = latest_end + margin;
-    const auto lead = static_cast<std::size_t>(
-        std::ceil(2.0 * training * static_cast<double>(capture))) + sps;
-    capture += lead;
+    const auto [lead, capture] = layout(latest_end);
 
     auto query = transmitter_.generate(capture);
 

@@ -77,6 +77,9 @@ public:
     /// std::invalid_argument on a tag index or MCS rung out of range.
     [[nodiscard]] std::vector<burst_outcome> run(const std::vector<tag_burst>& bursts);
 
+    /// The capture window run(bursts) would advance clock_s() by, unsimulated.
+    [[nodiscard]] double capture_window_s(const std::vector<tag_burst>& bursts) const;
+
     /// Airtime of one burst for `payload_bytes` (for slot planning), at the
     /// base MCS or at rung `mcs` (robust-rung slots are longer: fewer bits
     /// per symbol, lower code rate).
@@ -84,6 +87,11 @@ public:
                                           std::optional<std::size_t> mcs = std::nullopt) const;
 
 private:
+    /// A capture whose bursts end by sample `latest_end`: the quiet lead the
+    /// canceller trains on, and the whole capture's length including it.
+    struct capture_layout { std::size_t lead, capture; };
+    [[nodiscard]] capture_layout layout(std::size_t latest_end) const;
+
     system_config base_;
     std::vector<channel::backscatter_channel> channels_;
     tag::backscatter_modulator modulator_;

@@ -1,11 +1,11 @@
 #include "mmtag/core/network.hpp"
 
 #include <algorithm>
-#include <random>
 #include <stdexcept>
 
 #include "mmtag/core/link_budget.hpp"
 #include "mmtag/core/metrics.hpp"
+#include "mmtag/runtime/gaussian_source.hpp"
 
 namespace mmtag::core {
 
@@ -16,14 +16,12 @@ std::vector<tag_descriptor> uniform_population(std::size_t count, double min_ran
     if (!(min_range_m > 0.0) || !(max_range_m >= min_range_m)) {
         throw std::invalid_argument("uniform_population: invalid range bounds");
     }
-    std::mt19937_64 rng(seed);
-    std::uniform_real_distribution<double> range_dist(min_range_m, max_range_m);
-    std::uniform_real_distribution<double> angle_dist(-35.0, 35.0);
+    runtime::gaussian_source rng(seed);
     std::vector<tag_descriptor> tags;
     tags.reserve(count);
     for (std::size_t i = 0; i < count; ++i) {
-        tags.push_back({static_cast<std::uint32_t>(i), range_dist(rng),
-                        deg_to_rad(angle_dist(rng))});
+        tags.push_back({static_cast<std::uint32_t>(i), rng.uniform(min_range_m, max_range_m),
+                        deg_to_rad(rng.uniform(-35.0, 35.0))});
     }
     return tags;
 }

@@ -27,7 +27,7 @@ struct tag_descriptor {
 
 /// Deterministic random population: `count` tags with ids 0..count-1, ranges
 /// uniform in [min_range_m, max_range_m] and incidence uniform in +/-35 deg.
-/// Shared by the CLI `network` command, the network soak harness, and R22.
+/// Shared by the CLI `network` command, the soak harness, R22 and the warehouse example.
 [[nodiscard]] std::vector<tag_descriptor> uniform_population(std::size_t count,
                                                              double min_range_m,
                                                              double max_range_m,

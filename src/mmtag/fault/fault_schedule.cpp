@@ -2,8 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <random>
 #include <stdexcept>
+
+#include "mmtag/runtime/gaussian_source.hpp"
 
 namespace mmtag::fault {
 
@@ -35,51 +36,49 @@ fault_schedule::fault_schedule(const config& cfg, std::uint64_t seed)
                               cfg.lo_step_weight, cfg.interferer_weight,
                               cfg.brownout_weight};
     double total_weight = 0.0;
-    for (double w : weights) {
-        if (w < 0.0) throw std::invalid_argument("fault_schedule: negative weight");
-        total_weight += w;
+    int last_kind = 0; // the last kind with a positive weight
+    for (int k = 0; k < 5; ++k) {
+        if (weights[k] < 0.0) throw std::invalid_argument("fault_schedule: negative weight");
+        total_weight += weights[k];
+        if (weights[k] > 0.0) last_kind = k;
     }
     if (cfg.event_rate_hz == 0.0) return;
     if (total_weight <= 0.0) {
         throw std::invalid_argument("fault_schedule: all kinds disabled");
     }
 
-    std::mt19937_64 rng(seed * 0x9E3779B97F4A7C15ULL + 0xD1B54A32D192ED03ULL);
-    std::exponential_distribution<double> gap(cfg.event_rate_hz);
-    std::exponential_distribution<double> dwell(1.0 / cfg.mean_duration_s);
-    std::discrete_distribution<int> pick(std::begin(weights), std::end(weights));
-    std::uniform_real_distribution<double> unit(0.0, 1.0);
-
-    double t = gap(rng);
+    runtime::gaussian_source rng(seed * 0x9E3779B97F4A7C15ULL + 0xD1B54A32D192ED03ULL);
+    double t = rng.exponential(cfg.event_rate_hz);
     while (t < cfg.horizon_s) {
+        // Walk the cumulative weights: a zero-weight kind is never picked,
+        // and a product rounded up to the total lands on the last one.
+        double pick = rng.unit() * total_weight;
+        int kind = 0;
+        while (kind < last_kind && pick >= weights[kind]) pick -= weights[kind++];
         fault_event event;
-        event.kind = static_cast<fault_kind>(pick(rng));
+        event.kind = static_cast<fault_kind>(kind);
         event.start_s = t;
-        event.duration_s =
-            std::clamp(dwell(rng), cfg.min_duration_s, cfg.max_duration_s);
-        const double u = unit(rng);
+        event.duration_s = std::clamp(rng.exponential(1.0 / cfg.mean_duration_s),
+                                      cfg.min_duration_s, cfg.max_duration_s);
         switch (event.kind) {
         case fault_kind::blockage:
-            event.magnitude = cfg.blockage_depth_db_min +
-                              u * (cfg.blockage_depth_db_max - cfg.blockage_depth_db_min);
+            event.magnitude = rng.uniform(cfg.blockage_depth_db_min, cfg.blockage_depth_db_max);
             break;
         case fault_kind::carrier_dropout:
             event.magnitude = cfg.dropout_depth_db;
             break;
         case fault_kind::lo_step:
-            event.magnitude =
-                cfg.lo_step_hz_min + u * (cfg.lo_step_hz_max - cfg.lo_step_hz_min);
+            event.magnitude = rng.uniform(cfg.lo_step_hz_min, cfg.lo_step_hz_max);
             break;
         case fault_kind::interferer:
-            event.magnitude =
-                cfg.interferer_db_min + u * (cfg.interferer_db_max - cfg.interferer_db_min);
+            event.magnitude = rng.uniform(cfg.interferer_db_min, cfg.interferer_db_max);
             break;
         case fault_kind::brownout:
             event.magnitude = 0.0;
             break;
         }
         events_.push_back(event);
-        t += gap(rng);
+        t += rng.exponential(cfg.event_rate_hz);
     }
 }
 

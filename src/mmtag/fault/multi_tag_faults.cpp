@@ -1,8 +1,9 @@
 #include "mmtag/fault/multi_tag_faults.hpp"
 
 #include <algorithm>
-#include <random>
 #include <stdexcept>
+
+#include "mmtag/runtime/gaussian_source.hpp"
 
 namespace mmtag::fault {
 
@@ -33,26 +34,21 @@ multi_tag_plan::multi_tag_plan(const multi_tag_config& cfg, std::size_t tag_coun
     }
 
     const double active_end = cfg.horizon_s * cfg.active_fraction;
-    std::mt19937_64 rng(seed * 0xA24BAED4963EE407ULL + 0x9FB21C651E98DF25ULL);
-    std::uniform_real_distribution<double> unit(0.0, 1.0);
+    runtime::gaussian_source rng(seed * 0xA24BAED4963EE407ULL + 0x9FB21C651E98DF25ULL);
 
     // Correlated blockage storms: every tag in the covered span receives the
     // identical event, so their sessions see the same onset and depth.
     if (cfg.storm_rate_hz > 0.0 && faulted_count > 0) {
-        std::exponential_distribution<double> gap(cfg.storm_rate_hz);
-        std::uniform_int_distribution<std::size_t> origin(0, faulted_count - 1);
-        double t = gap(rng);
+        double t = rng.exponential(cfg.storm_rate_hz);
         while (t < active_end) {
             storm drawn;
             drawn.event.kind = fault_kind::blockage;
             drawn.event.start_s = t;
             drawn.event.duration_s = cfg.storm_duration_s;
-            drawn.event.magnitude =
-                cfg.storm_depth_db_min +
-                unit(rng) * (cfg.storm_depth_db_max - cfg.storm_depth_db_min);
-            drawn.first_tag = origin(rng);
+            drawn.event.magnitude = rng.uniform(cfg.storm_depth_db_min, cfg.storm_depth_db_max);
+            drawn.first_tag = rng.below(faulted_count);
             storms_.push_back(drawn);
-            t += gap(rng);
+            t += rng.exponential(cfg.storm_rate_hz);
         }
         std::stable_sort(storms_.begin(), storms_.end(), [](const storm& a, const storm& b) {
             return a.first_tag < b.first_tag;

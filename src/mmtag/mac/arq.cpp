@@ -4,6 +4,8 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "mmtag/runtime/gaussian_source.hpp"
+
 namespace mmtag::mac {
 
 double arq_stats::delivery_ratio() const
@@ -51,8 +53,7 @@ arq_stats stop_and_wait_arq::run(std::size_t frame_count, double frame_success,
     if (!(frame_success >= 0.0 && frame_success <= 1.0)) {
         throw std::invalid_argument("arq: frame_success must be in [0, 1]");
     }
-    std::mt19937_64 rng(seed);
-    std::uniform_real_distribution<double> uniform(0.0, 1.0);
+    runtime::gaussian_source rng(seed);
 
     arq_stats stats;
     stats.frames_offered = frame_count;
@@ -63,14 +64,14 @@ arq_stats stop_and_wait_arq::run(std::size_t frame_count, double frame_success,
             stats.backoff_wait_s += wait;
             stats.airtime_s += wait + cfg_.frame_time_s + cfg_.ack_time_s;
             ++stats.transmissions;
-            if (uniform(rng) >= frame_success) continue; // frame corrupted
+            if (rng.unit() >= frame_success) continue; // frame corrupted
             if (receiver_has_frame) ++stats.duplicates_discarded;
             else {
                 receiver_has_frame = true;
                 ++stats.frames_delivered;
             }
             // The sender only stops once it sees the implicit ACK.
-            if (cfg_.ack_loss <= 0.0 || uniform(rng) >= cfg_.ack_loss) break;
+            if (cfg_.ack_loss <= 0.0 || rng.unit() >= cfg_.ack_loss) break;
         }
     }
     return stats;

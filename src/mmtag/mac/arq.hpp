@@ -10,7 +10,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <random>
 
 namespace mmtag::mac {
 

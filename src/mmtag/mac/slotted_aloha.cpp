@@ -4,6 +4,8 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "mmtag/runtime/gaussian_source.hpp"
+
 namespace mmtag::mac {
 
 double inventory_stats::efficiency() const
@@ -30,8 +32,7 @@ inventory_stats aloha_inventory::run(std::size_t tag_count, std::uint64_t seed) 
     stats.tags_total = tag_count;
     if (tag_count == 0) return stats;
 
-    std::mt19937_64 rng(seed);
-    std::uniform_real_distribution<double> uniform(0.0, 1.0);
+    runtime::gaussian_source rng(seed);
 
     std::size_t remaining = tag_count;
     double q_float = static_cast<double>(cfg_.initial_q);
@@ -43,8 +44,7 @@ inventory_stats aloha_inventory::run(std::size_t tag_count, std::uint64_t seed) 
 
         // Occupancy: each unidentified tag draws a slot uniformly.
         std::vector<std::size_t> occupancy(slot_count, 0);
-        std::uniform_int_distribution<std::size_t> slot_dist(0, slot_count - 1);
-        for (std::size_t t = 0; t < remaining; ++t) ++occupancy[slot_dist(rng)];
+        for (std::size_t t = 0; t < remaining; ++t) ++occupancy[rng.below(slot_count)];
 
         for (std::size_t occupants : occupancy) {
             ++stats.slots_used;
@@ -54,7 +54,7 @@ inventory_stats aloha_inventory::run(std::size_t tag_count, std::uint64_t seed) 
                                    static_cast<double>(cfg_.min_q));
             } else if (occupants == 1) {
                 ++stats.singleton_slots;
-                if (uniform(rng) < cfg_.singleton_success) {
+                if (rng.unit() < cfg_.singleton_success) {
                     ++stats.tags_identified;
                     --remaining;
                 }

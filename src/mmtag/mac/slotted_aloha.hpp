@@ -6,7 +6,7 @@
 #pragma once
 
 #include <cstddef>
-#include <random>
+#include <cstdint>
 #include <vector>
 
 namespace mmtag::mac {

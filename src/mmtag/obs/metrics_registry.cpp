@@ -170,7 +170,6 @@ bool view_includes(metric_view view, const std::string& name)
     switch (view) {
     case metric_view::all: return true;
     case metric_view::deterministic: return !metrics_registry::is_timing_name(name);
-    case metric_view::timing: return metrics_registry::is_timing_name(name);
     }
     return true;
 }

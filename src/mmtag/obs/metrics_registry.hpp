@@ -90,9 +90,8 @@ private:
 
 /// Which metrics a snapshot includes. Scoped-timer histograms ("time/...")
 /// are wall-clock dependent, so the `deterministic` view the result writer
-/// embeds per sweep excludes them; they surface separately under the run
-/// section through the `timing` view.
-enum class metric_view { all, deterministic, timing };
+/// embeds per sweep excludes them.
+enum class metric_view { all, deterministic };
 
 /// Name-addressed collection of metrics. Not thread-safe: each trial owns
 /// its registry and the reduction merges them on one thread, mirroring how

@@ -1,7 +1,8 @@
 #include "mmtag/phy/bitio.hpp"
 
-#include <random>
 #include <stdexcept>
+
+#include "mmtag/runtime/gaussian_source.hpp"
 
 namespace mmtag::phy {
 
@@ -51,19 +52,17 @@ std::size_t hamming_distance(std::span<const std::uint8_t> a, std::span<const st
 
 std::vector<std::uint8_t> random_bytes(std::size_t count, std::uint64_t seed)
 {
-    std::mt19937_64 rng(seed);
-    std::uniform_int_distribution<int> byte_dist(0, 255);
+    runtime::gaussian_source rng(seed);
     std::vector<std::uint8_t> out(count);
-    for (auto& byte : out) byte = static_cast<std::uint8_t>(byte_dist(rng));
+    for (auto& byte : out) byte = static_cast<std::uint8_t>(rng.next_bits() >> 56);
     return out;
 }
 
 std::vector<std::uint8_t> random_bits(std::size_t count, std::uint64_t seed)
 {
-    std::mt19937_64 rng(seed);
-    std::uniform_int_distribution<int> bit_dist(0, 1);
+    runtime::gaussian_source rng(seed);
     std::vector<std::uint8_t> out(count);
-    for (auto& bit : out) bit = static_cast<std::uint8_t>(bit_dist(rng));
+    for (auto& bit : out) bit = static_cast<std::uint8_t>(rng.next_bits() >> 63);
     return out;
 }
 

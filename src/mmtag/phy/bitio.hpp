@@ -22,7 +22,8 @@ namespace mmtag::phy {
 [[nodiscard]] std::size_t hamming_distance(std::span<const std::uint8_t> a,
                                            std::span<const std::uint8_t> b);
 
-/// Random payload generator for BER runs (seeded, deterministic).
+/// Random payload generator for BER runs (seeded, deterministic): the top
+/// byte or bit of each runtime::gaussian_source(seed) word.
 [[nodiscard]] std::vector<std::uint8_t> random_bytes(std::size_t count, std::uint64_t seed);
 [[nodiscard]] std::vector<std::uint8_t> random_bits(std::size_t count, std::uint64_t seed);
 

@@ -112,8 +112,8 @@ double gaussian_source::normal_slow(unsigned layer, double x, bool negative)
         double t = 0.0;
         double e = 0.0;
         do {
-            t = -std::log(uniform()) / r;
-            e = -std::log(uniform());
+            t = -std::log(open_unit()) / r;
+            e = -std::log(open_unit());
         } while (e + e < t * t);
         x = r + t;
     } else {
@@ -121,7 +121,7 @@ double gaussian_source::normal_slow(unsigned layer, double x, bool negative)
         // it when a uniform height within the layer falls under the density.
         const double bottom = detail::ziggurat_f[layer];
         const double top = detail::ziggurat_f[layer + 1];
-        if (!(bottom + uniform() * (top - bottom) < std::exp(-0.5 * x * x))) return normal();
+        if (!(bottom + open_unit() * (top - bottom) < std::exp(-0.5 * x * x))) return normal();
     }
     return negative ? -x : x;
 }

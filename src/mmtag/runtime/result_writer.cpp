@@ -309,15 +309,6 @@ void result_writer::set_metrics(json_value metrics)
     metrics_ = std::move(metrics);
 }
 
-void result_writer::set_run_profile(json_value profile)
-{
-    if (!profile.is_object()) {
-        throw std::invalid_argument("result_writer: run profile not an object");
-    }
-    has_profile_ = true;
-    profile_ = std::move(profile);
-}
-
 namespace {
 
 json_value aggregates_value(const std::string& id, const std::string& title,
@@ -363,7 +354,6 @@ std::string result_writer::document(double wall_s, std::size_t jobs,
     run.set("wall_s", json_value::number(wall_s));
     run.set("trials_per_s", json_value::number(trials_per_s));
     run.set("git", json_value::string(git_describe()));
-    if (has_profile_) run.set("profile", profile_);
     doc.set("run", std::move(run));
     return doc.dump(2);
 }

@@ -19,13 +19,11 @@
 // byte-for-byte (aggregates_json()). "run" carries the timing/provenance
 // that legitimately varies between machines and runs.
 //
-// Schema "mmtag.bench.result/2" is /1 plus observability, and is emitted
-// only when set_metrics() was called (v1 output is byte-unchanged when
-// metrics are off):
-//   * a top-level "metrics" section after "points" — the sweep-wide merged
-//     obs::metrics_registry snapshot (deterministic view, --jobs-invariant);
-//   * optionally "run.profile" — wall-time histograms from scoped timers
-//     (set_run_profile), which live in "run" because they legitimately vary.
+// Schema "mmtag.bench.result/2" is /1 plus a top-level "metrics" section
+// after "points" — the sweep-wide merged obs::metrics_registry snapshot
+// (deterministic view, --jobs-invariant) — and is emitted only when
+// set_metrics() was called (v1 output is byte-unchanged when metrics are
+// off).
 // Ratio metrics with zero observations (BER with no bits, PER with no
 // frames, mean SNR with no found frames, ...) serialize as null, never as
 // bare nan/inf.
@@ -138,10 +136,6 @@ public:
     /// deterministic half (aggregates_json()).
     void set_metrics(json_value metrics);
 
-    /// Attaches wall-time profiling data to the "run" section (schema /2
-    /// only; ignored by aggregates_json()).
-    void set_run_profile(json_value profile);
-
     /// The deterministic half of the document (schema/id/title/axes/points).
     [[nodiscard]] std::string aggregates_json() const;
 
@@ -163,8 +157,6 @@ private:
     std::vector<json_value> points_;
     bool has_metrics_ = false;
     json_value metrics_;
-    bool has_profile_ = false;
-    json_value profile_;
 };
 
 /// bench/out/BENCH_<id>.json relative to the current working directory.

@@ -22,6 +22,13 @@ namespace mmtag::runtime {
     return x ^ (x >> 31);
 }
 
+/// Uniform double in [0, 1) from the top 53 bits of a random word (as an
+/// int64_t, whose conversion is one instruction).
+[[nodiscard]] constexpr double unit_of(std::uint64_t bits)
+{
+    return static_cast<double>(static_cast<std::int64_t>(bits >> 11)) * 0x1.0p-53;
+}
+
 /// The per-trial seed: hash(base_seed, sweep_point, trial). Successive
 /// counters land in unrelated parts of the 64-bit space, so neighbouring
 /// trials (and neighbouring sweep points) get decorrelated RNG streams.

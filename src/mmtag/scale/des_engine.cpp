@@ -58,13 +58,6 @@ double slot_airtime_s(std::size_t mcs, std::size_t payload_bytes, double symbol_
            static_cast<double>(symbols) / symbol_rate_hz + mac.guard_time_s;
 }
 
-/// Uniform [0, 1) draw: slot `slot_index` of the cell whose stream is
-/// `cell_seed`.
-double event_uniform(std::uint64_t cell_seed, std::uint64_t slot_index)
-{
-    return static_cast<double>(runtime::substream(cell_seed, slot_index) >> 11) * 0x1.0p-53;
-}
-
 /// What every cell of every trial reads and none changes: each tag's static
 /// rung, the per-rung slot airtimes and the fault mix rescaled to the
 /// nominal schedule length. It depends on no trial, so a run builds it once.
@@ -249,7 +242,7 @@ cell_result run_cell(const scale_config& cfg, const deployment& topo, const phy_
             const double per =
                 clean ? (robust ? link.clean_per_robust : link.clean_per_static)
                       : table.per(rung, sinr_eff_db);
-            delivered = event_uniform(cell_seed, slot_index) >= per;
+            delivered = runtime::unit_of(runtime::substream(cell_seed, slot_index)) >= per;
         } else {
             ++out.brownout_losses;
         }
@@ -391,6 +384,7 @@ runtime::json_value scale_result::to_json() const
 {
     using runtime::json_value;
     auto doc = runtime::schema_object("mmtag.scale.result/1");
+    doc.set("des_model_revision", json_value::unsigned_integer(des_model_revision));
     doc.set("tags", json_value::unsigned_integer(config.topology.tag_count));
     doc.set("aps", json_value::unsigned_integer(config.topology.ap_count));
     doc.set("layout", json_value::string(layout_name(config.topology.layout)));

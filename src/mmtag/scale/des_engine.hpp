@@ -49,6 +49,11 @@ class metrics_registry;
 
 namespace mmtag::scale {
 
+/// Revision of the DES model in every mmtag.scale.result/1 document: bump it
+/// whenever a change moves a result for the same config and seeds. Revision
+/// 2 draws fault plans from runtime::gaussian_source instead of <random>.
+inline constexpr std::uint64_t des_model_revision = 2;
+
 struct scale_config {
     topology_config topology{};
     core::system_config scenario = core::fast_scenario();

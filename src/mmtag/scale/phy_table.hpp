@@ -35,10 +35,10 @@ namespace mmtag::scale {
 /// Bump it whenever a change moves the simulator's statistics (noise source,
 /// receive chain, ...): from_json() rejects a table whose recorded revision
 /// differs, so tables calibrated by an older model are regenerated instead
-/// of loaded. Revision 2 draws Gaussian noise from runtime::gaussian_source;
-/// tables from revision 1 (standard-library normal draws) carry no revision
-/// field.
-inline constexpr std::uint64_t phy_model_revision = 2;
+/// of loaded. Revision 2 draws Gaussian noise, revision 3 every draw, from
+/// runtime::gaussian_source; tables from revision 1 (standard-library
+/// normal draws) carry no revision field.
+inline constexpr std::uint64_t phy_model_revision = 3;
 
 inline constexpr std::uint64_t fnv1a64_offset = 0xcbf29ce484222325ULL;
 

@@ -36,7 +36,7 @@ namespace {
 /// coordinates never depend on how many tags were placed before it.
 double uniform01(std::uint64_t seed, std::uint64_t stream)
 {
-    return static_cast<double>(runtime::substream(seed, stream) >> 11) * 0x1.0p-53;
+    return runtime::unit_of(runtime::substream(seed, stream));
 }
 
 /// Standard normal via Box-Muller over two counter draws.

@@ -231,7 +231,7 @@ TEST(commands, sweep_emits_metrics_trace_and_v2_results)
     EXPECT_TRUE(testutil::json_checker(result_text).valid());
     EXPECT_NE(result_text.find("mmtag.bench.result/2"), std::string::npos);
     EXPECT_NE(result_text.find("\"metrics\""), std::string::npos);
-    EXPECT_NE(result_text.find("\"profile\""), std::string::npos);
+    EXPECT_EQ(result_text.find("\"profile\""), std::string::npos);
     fs::remove_all(dir);
 }
 

@@ -191,19 +191,19 @@ std::vector<fault_schedule> schedules_under_test()
 
 TEST(multi_tag_plan, chaos_timeline_is_unchanged)
 {
-    // Recorded from the plan that materialised every tag's timeline up
-    // front. Tag 3 of this plan carries storms, rolling brownouts and a
-    // background draw, so any change to how a timeline is drawn or keyed
-    // moves these values.
+    // Recorded from the plan that draws every uniform, integer and
+    // exponential from runtime::gaussian_source. Tag 3 of this plan carries
+    // storms, rolling brownouts and a background draw, so any change to how
+    // a timeline is drawn or keyed moves these values.
     const fault::multi_tag_plan plan(chaos_config(), 8, 5, 1234);
     const fault_schedule schedule = plan.tag_schedule(3);
     const auto& events = schedule.events();
-    ASSERT_EQ(events.size(), 26u);
-    EXPECT_EQ(schedule.count(fault::fault_kind::blockage), 17u);
-    EXPECT_EQ(schedule.count(fault::fault_kind::brownout), 9u);
-    EXPECT_EQ(events.front().start_s, 0.0092559050775825012);
-    EXPECT_EQ(events.back().start_s, 0.11871980910720278);
-    EXPECT_EQ(plan.last_fault_end_s(), 0.12123866371923224);
+    ASSERT_EQ(events.size(), 21u);
+    EXPECT_EQ(schedule.count(fault::fault_kind::blockage), 16u);
+    EXPECT_EQ(schedule.count(fault::fault_kind::brownout), 5u);
+    EXPECT_EQ(events.front().start_s, 0.0014123813124973029);
+    EXPECT_EQ(events.back().start_s, 0.11209775596993551);
+    EXPECT_EQ(plan.last_fault_end_s(), 0.1214758977905631);
 }
 
 TEST(fault_cursor, schedules_under_test_cover_every_kind)

@@ -133,6 +133,65 @@ TEST(gaussian_source, pinned_first_draws)
     for (const double value : expected) EXPECT_EQ(source.normal(), value);
 }
 
+TEST(gaussian_source, pinned_unit_uniform_exponential)
+{
+    // The same seed-1 words as pinned_first_draws: unit() is the word's top
+    // 53 bits over 2^53 (0x5e41ab087439611e >> 11 = 0x1.7906ac21d0e58p-2 *
+    // 2^53), and uniform and exponential are fixed transforms of it.
+    gaussian_source unit_source(1);
+    for (const double value : {0x1.7906ac21d0e58p-2, 0x1.e31ad9d27ad9ep-1,
+                               0x1.72becda64fd1p-5, 0x1.8e0c363726645p-1}) {
+        EXPECT_EQ(unit_source.unit(), value);
+    }
+    gaussian_source uniform_source(1);
+    for (const double value : {-0x1.45bd46add709p-3, 0x1.5be1904719906p+1,
+                               -0x1.c6122fde03876p+0, 0x1.e31e8789dffacp+0}) {
+        EXPECT_EQ(uniform_source.uniform(-2.0, 3.0), value);
+    }
+    gaussian_source exponential_source(1);
+    for (const double value : {0x1.e178614279b8p-10, 0x1.78c951a8daa8cp-7,
+                               0x1.848096404cd81p-13, 0x1.89e2117a14edbp-8}) {
+        EXPECT_EQ(exponential_source.exponential(250.0), value);
+    }
+}
+
+TEST(gaussian_source, pinned_below)
+{
+    gaussian_source source(1);
+    for (const std::uint64_t value : {3u, 9u, 0u, 7u, 2u, 7u, 6u, 2u}) {
+        EXPECT_EQ(source.below(10), value);
+    }
+    gaussian_source one(1);
+    for (int i = 0; i < 100; ++i) EXPECT_EQ(one.below(1), 0u);
+
+    // n = 2^63 + 1 rejects every word whose low product half falls below
+    // 2^64 mod n = 2^63 - 1: about half of them.
+    constexpr std::uint64_t n = (std::uint64_t{1} << 63) + 1;
+    gaussian_source wide(1);
+    for (const std::uint64_t value :
+         {8702843941935282423ULL, 2020980364105923368ULL, 7142571665318769130ULL,
+          2277851939543494749ULL, 1631695060704397749ULL, 2249637583335451041ULL}) {
+        EXPECT_EQ(wide.below(n), value);
+    }
+}
+
+TEST(gaussian_source, below_rejects_about_half_the_words_at_two_pow_63_plus_one)
+{
+    // Each draw takes a geometric number of words with success probability
+    // 1 - (2^63 - 1) / 2^64 (mean 2, variance 2); z = 5 over 2,000 draws.
+    constexpr std::uint64_t n = (std::uint64_t{1} << 63) + 1;
+    constexpr std::size_t count = 2000;
+    gaussian_source source(1);
+    for (std::size_t i = 0; i < count; ++i) EXPECT_LT(source.below(n), n);
+    // Find the source's next word in a twin stream to count the words used.
+    const std::uint64_t next = source.next_bits();
+    gaussian_source twin(1);
+    std::size_t used = 0;
+    while (twin.next_bits() != next && used < 10 * count) ++used;
+    EXPECT_EQ(used, 4060u);
+    EXPECT_NEAR(static_cast<double>(used), 2.0 * count, z * std::sqrt(2.0 * count));
+}
+
 TEST(gaussian_source, pinned_long_stream)
 {
     // FNV-1a over the bit patterns of the first 200,000 draws per seed. The

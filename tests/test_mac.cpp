@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "mmtag/mac/arq.hpp"
 #include "mmtag/mac/slotted_aloha.hpp"
 #include "mmtag/mac/tdma.hpp"

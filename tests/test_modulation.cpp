@@ -200,5 +200,23 @@ TEST(bitio, random_deterministic_by_seed)
     EXPECT_NE(random_bytes(16, 5), random_bytes(16, 6));
 }
 
+TEST(bitio, random_bytes_and_bits_are_pinned)
+{
+    // The top byte (bit) of each runtime::gaussian_source(1) word, whose
+    // first words are 0x5e41ab087439611e, 0xf18d6ce93d6cf1ee and
+    // 0x0b95f66d327e8d78, whatever the standard library; a shorter draw is
+    // a prefix of a longer one.
+    const std::vector<std::uint8_t> bytes{0x5e, 0xf1, 0x0b, 0xc7, 0x38, 0xc6,
+                                          0xa0, 0x3f, 0x2d, 0x3e, 0x9d, 0xed};
+    EXPECT_EQ(random_bytes(12, 1), bytes);
+    EXPECT_EQ(random_bytes(5, 1), std::vector<std::uint8_t>(bytes.begin(), bytes.begin() + 5));
+
+    const std::string pinned =
+        "0101011000110110110010110011001011010000110101110111010100000001110110";
+    std::string bits;
+    for (const std::uint8_t bit : random_bits(pinned.size(), 1)) bits += bit != 0 ? '1' : '0';
+    EXPECT_EQ(bits, pinned);
+}
+
 } // namespace
 } // namespace mmtag::phy

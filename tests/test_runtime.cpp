@@ -513,17 +513,13 @@ TEST(result_writer, metrics_snapshot_switches_schema_to_v2)
     counters.set("link/frames", json_value::unsigned_integer(8));
     snapshot.set("counters", std::move(counters));
     results.set_metrics(std::move(snapshot));
-    auto profile = json_value::object();
-    profile.set("histograms", json_value::object());
-    results.set_run_profile(std::move(profile));
 
     const auto v2 = results.document(0.1, 1, 10.0);
     EXPECT_TRUE(json_checker(v2).valid()) << v2;
     EXPECT_NE(v2.find("\"schema\": \"mmtag.bench.result/2\""), std::string::npos);
     EXPECT_NE(v2.find("\"link/frames\": 8"), std::string::npos);
-    EXPECT_NE(v2.find("\"profile\""), std::string::npos);
-    // The sweep-wide snapshot is part of the deterministic half; the
-    // profile (wall-clock) is not.
+    EXPECT_EQ(v2.find("\"profile\""), std::string::npos);
+    // The sweep-wide snapshot is part of the deterministic half.
     const auto aggregates = results.aggregates_json();
     EXPECT_NE(aggregates.find("\"schema\": \"mmtag.bench.result/2\""),
               std::string::npos);

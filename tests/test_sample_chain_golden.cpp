@@ -2,8 +2,8 @@
 // AGC-scaled ADC and canceller in ap_receiver::front_end, and the multi-tag
 // capture superposition. Any change to a draw order, a stage's arithmetic or
 // the order of the additions moves these values; a refactor that keeps the
-// chain bit-exact keeps them. Recorded from the copy-per-stage chain, before
-// the stages moved to in-place buffer operations.
+// chain bit-exact keeps them. Recorded from the in-place chain once payload
+// bytes came from runtime::gaussian_source instead of <random>.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -87,8 +87,8 @@ void expect_golden(const core::system_config& cfg, const std::vector<link_golden
 TEST(SampleChainGolden, SelfCoherentBackgroundSubtract)
 {
     expect_golden(core::fast_scenario(),
-                  {{0xd84138716ef2d431ULL, 539, 0x404342a5585b63b9ULL, 0xc0414aa33f67c035ULL},
-                   {0x2b64a75e3c77eb5aULL, 539, 0x4042ce76075af7e6ULL, 0xc0414b95d8bb8e6aULL}});
+                  {{0xab8124ab1611de02ULL, 539, 0x404342e1eef87b07ULL, 0xc0414b3849b842dcULL},
+                   {0x08e50e002e7178c4ULL, 539, 0x4042ce5b86e64826ULL, 0xc0414baade168643ULL}});
 }
 
 TEST(SampleChainGolden, IndependentLo)
@@ -99,8 +99,8 @@ TEST(SampleChainGolden, IndependentLo)
     cfg.receiver.independent_cfo_hz = 100.0;
     cfg.receiver.independent_linewidth_hz = 10.0;
     expect_golden(cfg,
-                  {{0xed9876efd68b1a95ULL, 539, 0xc01066a1e5ae74c2ULL, 0xc040024837d2580eULL},
-                   {0xb347a038703e016fULL, 539, 0x400284f927346d73ULL, 0xc04057006e979049ULL}});
+                  {{0x522e845eb1a4f58cULL, 539, 0xc0106db54649770cULL, 0xc0400947ed084088ULL},
+                   {0xe73179850b0d36abULL, 539, 0x40029d3481788a64ULL, 0xc04061f3f6235cf2ULL}});
 }
 
 TEST(SampleChainGolden, DcNotchCanceller)
@@ -108,8 +108,8 @@ TEST(SampleChainGolden, DcNotchCanceller)
     auto cfg = core::fast_scenario();
     cfg.receiver.canceller.mode = ap::cancellation_mode::dc_notch;
     expect_golden(cfg,
-                  {{0xcbf29ce484222325ULL, 0, 0xc059000000000000ULL, 0xc024a843349eeeccULL},
-                   {0x8382d32f74f06d68ULL, 539, 0x403565f985eae818ULL, 0xc0414be6192814bbULL}});
+                  {{0xcbf29ce484222325ULL, 0, 0xc059000000000000ULL, 0xc024a813c43287a2ULL},
+                   {0x7bdbcbdb7707648fULL, 539, 0x403512037082a9a2ULL, 0xc0414d1b0e5a5f9eULL}});
 }
 
 TEST(SampleChainGolden, MeanSubtractCanceller)
@@ -117,8 +117,8 @@ TEST(SampleChainGolden, MeanSubtractCanceller)
     auto cfg = core::fast_scenario();
     cfg.receiver.canceller.mode = ap::cancellation_mode::mean_subtract;
     expect_golden(cfg,
-                  {{0x96c1001bc68f5669ULL, 539, 0x403bb33ffc24d551ULL, 0xc0414cf31bd42ac4ULL},
-                   {0x67d5e3adc672592aULL, 539, 0x403bf968a14bedfaULL, 0xc0414da214e72fedULL}});
+                  {{0x3f70b39e60aa4d9bULL, 539, 0x403bb642c3a79d11ULL, 0xc0414c865233f0d7ULL},
+                   {0x8f956acab28898d7ULL, 539, 0x403c23b10e9d7364ULL, 0xc0414f24228a7e7aULL}});
 }
 
 TEST(SampleChainGolden, MultitagCaptureWithOverrideAndFaultedTag)
@@ -147,8 +147,8 @@ TEST(SampleChainGolden, MultitagCaptureWithOverrideAndFaultedTag)
 
     const auto outcomes = sim.run(bursts);
     ASSERT_EQ(outcomes.size(), 4u);
-    const std::uint64_t snr_bits[4] = {0x4042bff13db11362ULL, 0x4040b3823f42be52ULL,
-                                       0x400e054627b29bf9ULL, 0x4041e3d093901188ULL};
+    const std::uint64_t snr_bits[4] = {0x4042c3801fffd548ULL, 0x4040b5c9562883abULL,
+                                       0x400e1dc2ca4a31cbULL, 0x4041e4de9587b408ULL};
     for (std::size_t b = 0; b < outcomes.size(); ++b) {
         EXPECT_EQ(std::bit_cast<std::uint64_t>(outcomes[b].snr_db), snr_bits[b]) << "burst " << b;
         EXPECT_TRUE(outcomes[b].delivered) << "burst " << b;

@@ -54,17 +54,28 @@ scale_config small_config()
 TEST(ScaleDes, GoldenEventLogIsUnchanged)
 {
     // Recorded from the per-cell round-loop engine (draws keyed by cell and
-    // per-cell slot index, binary event records): any change to event
-    // order, packet draws or the hashed record moves these values.
+    // per-cell slot index, binary event records) with fault plans and
+    // calibration payloads drawn from runtime::gaussian_source: any change
+    // to event order, packet draws or the hashed record moves these values.
     const auto cfg = small_config();
     const scale_result r = scale::run_scale(cfg, 1, nullptr, shared_cache_dir());
-    EXPECT_EQ(r.events, 1344u);
-    EXPECT_EQ(r.event_log_hash, 0x0f6c6e0d0585de6aULL);
-    EXPECT_EQ(r.delivered, 858u);
+    EXPECT_EQ(r.events, 1346u);
+    EXPECT_EQ(r.event_log_hash, 0x47ca5ac0bbb7b1c1ULL);
+    EXPECT_EQ(r.delivered, 869u);
     ASSERT_EQ(r.delivered_per_tag.size(), cfg.topology.tag_count);
-    EXPECT_EQ(r.delivered_per_tag[0], 17u);
+    EXPECT_EQ(r.delivered_per_tag[0], 19u);
     EXPECT_EQ(r.delivered_per_tag[7], 24u);
     EXPECT_EQ(r.delivered_per_tag[39], 20u);
+}
+
+TEST(ScaleDes, ResultRecordsTheDesModelRevision)
+{
+    const scale_result r = scale::run_scale(small_config(), 1, nullptr, shared_cache_dir());
+    const auto doc = r.to_json();
+    const auto* revision = doc.find("des_model_revision");
+    ASSERT_NE(revision, nullptr);
+    EXPECT_EQ(revision->as_number(), static_cast<double>(scale::des_model_revision));
+    EXPECT_EQ(scale::des_model_revision, 2u);
 }
 
 TEST(ScaleDes, CellsAreIndependent)
